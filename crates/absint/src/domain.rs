@@ -8,8 +8,7 @@
 //! the *solver-visible* semantics: operations the SMT layer leaves
 //! uninterpreted (nonlinear multiplication, division and modulus by
 //! non-constants) map to ⊤ in the interval component, and only the
-//! congruence component — which is never used to justify a discharge,
-//! only lints — reasons about `%`.
+//! congruence component reasons about `%`.
 
 /// An interval `[lo, hi]` over `i64` with `None` as ±∞.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -183,9 +182,8 @@ impl Interval {
 /// A congruence `v ≡ rem (mod modulus)`. `modulus == 1` is ⊤;
 /// `modulus == 0` means `v` is exactly the constant `rem`.
 ///
-/// Used by the lint pass only — the SMT layer treats `%` as
-/// uninterpreted, so a congruence fact is *not* in general re-derivable
-/// by the solver and must never justify an obligation discharge.
+/// The SMT layer treats `%` as uninterpreted, so a congruence fact is
+/// *not* in general re-derivable by the solver; only lints use it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Congruence {
     /// The modulus (0 = exact constant, 1 = ⊤).

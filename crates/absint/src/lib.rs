@@ -1,7 +1,7 @@
 //! # rsc-absint
 //!
-//! An abstract-interpretation pre-pass for the RSC refinement checker:
-//! a worklist-based forward dataflow analysis over the IRSC SSA form,
+//! Abstract interpretation for the RSC refinement checker: a
+//! worklist-based forward dataflow analysis over the IRSC SSA form,
 //! computing a reduced product of
 //!
 //! * **intervals** over `i64` with ±∞ (widening at loop heads,
@@ -11,32 +11,23 @@
 //!
 //! per SSA value per function unit ([`analyze_program`]).
 //!
-//! The results feed two consumers with *different* soundness budgets:
+//! The results feed the **lints** ([`lint_program`]): advisory
+//! warnings with stable codes L0001–L0004 (unreachable branch,
+//! tautological guard, dead refinement, always-out-of-bounds index).
+//! Lints may use the full product including congruences, and never
+//! affect type errors or the checker's verdict.
 //!
-//! 1. **Obligation discharge** ([`entailed_by`]): before an atomic
-//!    subtyping obligation reaches the SMT solver, the checker asks
-//!    whether the obligation's own hypotheses abstractly entail its
-//!    goal. A `true` answer skips the SMT query. The pre-pass may only
-//!    *discharge* obligations, never report errors, and every discharge
-//!    must be re-derivable by the solver from the same hypotheses — so
-//!    the entailment procedure is deliberately confined to the solver's
-//!    provable fragment (linear arithmetic with integer tightening,
-//!    ground EUF equalities) and the congruence domain is excluded.
-//!    The `rsc fuzz` differential oracle replays discharged obligations
-//!    through the solver to enforce the contract.
-//! 2. **Lints** ([`lint_program`]): advisory warnings with stable codes
-//!    L0001–L0004 (unreachable branch, tautological guard, dead
-//!    refinement, always-out-of-bounds index). Lints may use the full
-//!    product including congruences, and never affect type errors.
+//! This crate decides no verification condition. Obligations whose
+//! hypotheses and negated goal are literal conjunctions are answered by
+//! the SMT solver's own one-check path (`rsc_smt::Solver::is_valid`),
+//! so the fixpoint has one decision procedure.
 
 #![warn(missing_docs)]
 
 pub mod domain;
 pub mod engine;
-pub mod entail;
 pub mod lint;
 
 pub use domain::{AbsVal, Congruence, Interval, Nullness, Truth};
 pub use engine::{analyze_body, analyze_program, AbsEnv, BodyFacts, ProgramFacts};
-pub use entail::{entailed_by, FactEnv, MAX_INT_DISEQS};
 pub use lint::{lint_program, Lint};

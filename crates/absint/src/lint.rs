@@ -8,9 +8,9 @@
 //! | L0003 | a refinement annotation is already implied by the value    |
 //! | L0004 | an array index is always out of bounds                     |
 //!
-//! Lints are *advisory*: unlike obligation discharge they may use the
-//! full reduced product, including the congruence domain the SMT layer
-//! cannot replay. They never suppress or add type errors.
+//! Lints are *advisory*: they may use the full reduced product,
+//! including the congruence domain the SMT layer does not model. They
+//! never suppress or add type errors.
 //!
 //! Literal `true`/`false` guards are exempt from L0001/L0002 —
 //! `while (true)` and `if (false)` are deliberate idioms, not mistakes.
@@ -245,7 +245,7 @@ fn scan_indices(e: &IrExpr, env: &AbsEnv, lints: &mut Vec<Lint>) {
 
 /// Does the abstract value of the bound expression already entail the
 /// annotation's refinement over its value variable? Lint-grade: the
-/// congruence domain participates (this is never used for discharge).
+/// congruence domain participates.
 fn value_entails(v: &AbsVal, vv: &Sym, pred: &Pred) -> bool {
     match pred {
         Pred::True => true,

@@ -47,18 +47,12 @@ pub struct CheckerOptions {
     /// the fixpoint (`rsc_smt::IncrContext`), so weakening iterations
     /// re-solve deltas under activation literals instead of re-encoding
     /// from scratch. Verdict- and diagnostic-preserving; off is the
-    /// ablation/debug path (`--no-incremental-smt` / `RSC_INCR_SMT=0`).
+    /// fresh-encoder reference path the equivalence tests compare
+    /// against (`--no-incremental-smt`).
     pub incremental_smt: bool,
-    /// Run the abstract-interpretation pre-pass (`rsc_absint`) before
-    /// each SMT validity query, statically discharging obligations whose
-    /// goal is entailed by the interval/nullness facts. The pre-pass may
-    /// only *discharge*, never report: every skipped query is re-derivable
-    /// by the solver, so diagnostics are byte-identical with it off
-    /// (`--no-absint` is the ablation path).
-    pub absint: bool,
-    /// Run the dataflow lint pass (`L0001`–`L0004`) and surface findings
-    /// as warning diagnostics in [`CheckResult::lints`]. Lints never
-    /// affect the error stream or the check verdict.
+    /// Run the dataflow lint pass (`rsc_absint`, `L0001`–`L0004`) and
+    /// surface findings as warning diagnostics in [`CheckResult::lints`].
+    /// Lints never affect the error stream or the check verdict.
     pub lints: bool,
 }
 
@@ -72,7 +66,6 @@ impl Default for CheckerOptions {
             vc_cache: true,
             cache_capacity: 0,
             incremental_smt: true,
-            absint: true,
             lints: true,
         }
     }
@@ -103,17 +96,6 @@ impl CheckerOptions {
             .min(8)
     }
 
-    /// Resolves `incremental_smt` against the `RSC_INCR_SMT` environment
-    /// variable (`0`/`off`/`false` disables, anything else enables; the
-    /// option wins only when the variable is unset). Diagnostics are
-    /// byte-identical either way — the override exists for A/B timing.
-    pub fn effective_incremental(&self) -> bool {
-        match std::env::var("RSC_INCR_SMT") {
-            Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
-            Err(_) => self.incremental_smt,
-        }
-    }
-
     /// Resolves `cache_capacity` to a concrete entry cap (`0` =
     /// unbounded), honoring `RSC_CACHE_CAP` when the option is unset.
     pub fn effective_cache_capacity(&self) -> usize {
@@ -140,7 +122,8 @@ pub struct CheckStats {
     pub kvars: usize,
     /// Subtyping constraints generated.
     pub constraints: usize,
-    /// SMT validity queries issued by the fixpoint.
+    /// Validity queries of the fixpoint that took the solver's full
+    /// (VC cache or DPLL(T)) path.
     pub smt_queries: u64,
     /// Independent constraint bundles solved (≥ 1 for non-empty programs).
     pub bundles: usize,
@@ -154,11 +137,10 @@ pub struct CheckStats {
     /// VC-cache entries evicted during this run (non-zero only when a
     /// cache capacity is configured).
     pub cache_evictions: u64,
-    /// Obligations discharged statically by the abstract-interpretation
-    /// pre-pass instead of being sent to the SMT solver (always 0 when
-    /// the pre-pass is disabled). `smt_queries` counts only the queries
-    /// actually issued, so `smt_queries + obligations_discharged` is the
-    /// pre-pass-off query count.
+    /// Validity queries of the fixpoint that the solver answered with
+    /// one theory check over their literal conjuncts, so
+    /// `smt_queries + obligations_discharged` is every validity question
+    /// the fixpoint asked.
     pub obligations_discharged: u64,
 }
 
@@ -203,11 +185,10 @@ pub struct BundleReport {
     /// it was (last) solved — a pure function of the bundle's canonical
     /// problem, so it is also correct for `cached` bundles.
     pub smt_queries: u64,
-    /// Obligations the abstract-interpretation pre-pass discharged
-    /// without an SMT query when the bundle was (last) solved. Like
-    /// `smt_queries`, a pure function of the canonical bundle problem
-    /// (and the pre-pass setting), so it is retained for `cached`
-    /// bundles.
+    /// Validity queries the solver answered on its theory-only path
+    /// when the bundle was (last) solved. Like `smt_queries`, a pure
+    /// function of the canonical bundle problem, so it is retained for
+    /// `cached` bundles.
     pub discharged: u64,
     /// Wall-clock nanoseconds spent solving this bundle when it was
     /// (last) actually solved (retained, like the counters, for `cached`
@@ -246,7 +227,7 @@ pub struct RetainedBundle {
     pub smt: SolverStats,
     /// Liquid-level validity queries from when it was last solved.
     pub smt_queries: u64,
-    /// Pre-pass-discharged obligations from when it was last solved.
+    /// Theory-only answers from when it was last solved.
     pub discharged: u64,
     /// Wall-clock solve time from when it was last solved.
     pub solve_ns: u64,
@@ -271,6 +252,17 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
+    /// The result of a check that stopped before constraint generation
+    /// (a parse or SSA error): that one diagnostic and nothing else.
+    fn error(d: Diagnostic) -> CheckResult {
+        CheckResult {
+            diagnostics: vec![d],
+            lints: Vec::new(),
+            stats: CheckStats::default(),
+            bundle_reports: Vec::new(),
+        }
+    }
+
     /// True if verification succeeded.
     pub fn ok(&self) -> bool {
         self.diagnostics.is_empty()
@@ -358,52 +350,22 @@ pub struct Checker {
 /// Checks a program from source, running the full pipeline:
 /// parse → SSA → constraint generation → Liquid fixpoint → SMT.
 pub fn check_program(src: &str, opts: CheckerOptions) -> CheckResult {
-    let mut diags = Vec::new();
-    let prog = match rsc_syntax::parse_program(src) {
-        Ok(p) => p,
-        Err(e) => {
-            diags.push(Diagnostic::error(e.message, e.span));
-            return CheckResult {
-                diagnostics: diags,
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    let ir = match rsc_ssa::transform_program(&prog) {
-        Ok(i) => i,
-        Err(e) => {
-            diags.push(Diagnostic::error(e.message, e.span));
-            return CheckResult {
-                diagnostics: diags,
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    check_ir(&ir, opts)
+    match rsc_syntax::parse_program(src) {
+        Ok(prog) => check_program_ast(&prog, opts),
+        Err(e) => CheckResult::error(Diagnostic::error(e.message, e.span)),
+    }
 }
 
 /// Checks an already-parsed program: SSA → constraint generation →
-/// Liquid fixpoint → SMT. Byte-identical to [`check_program`] on the
-/// source the AST was parsed from; the workspace layer uses it to check
-/// merged programs whose items were α-renamed in memory (so no source
-/// text for the qualified program exists).
+/// Liquid fixpoint → SMT. [`check_program`] is parse + this; the
+/// workspace layer calls it directly to check merged programs whose
+/// items were α-renamed in memory (so no source text for the qualified
+/// program exists).
 pub fn check_program_ast(prog: &rsc_syntax::Program, opts: CheckerOptions) -> CheckResult {
-    let ir = match rsc_ssa::transform_program(prog) {
-        Ok(i) => i,
-        Err(e) => {
-            return CheckResult {
-                diagnostics: vec![Diagnostic::error(e.message, e.span)],
-                lints: Vec::new(),
-                stats: CheckStats::default(),
-                bundle_reports: Vec::new(),
-            };
-        }
-    };
-    check_ir(&ir, opts)
+    match rsc_ssa::transform_program(prog) {
+        Ok(ir) => check_ir(&ir, opts),
+        Err(e) => CheckResult::error(Diagnostic::error(e.message, e.span)),
+    }
 }
 
 /// Checks an already-SSA-translated program.
@@ -566,8 +528,7 @@ pub fn solve_artifacts(
     let cache = &vc_cache;
     let use_cache = opts.vc_cache;
     let solve_opts = rsc_liquid::SolveOptions {
-        incremental: opts.effective_incremental(),
-        absint: opts.absint,
+        incremental: opts.incremental_smt,
     };
     let to_solve: Vec<usize> = (0..bundles.len())
         .filter(|i| retained[*i].is_none())

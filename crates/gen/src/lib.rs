@@ -3,7 +3,7 @@
 //! Adversarial testing for the RSC checker: a typing-rule-directed
 //! generator that emits *well-refinement-typed programs by
 //! construction* ([`generate`]), a mutation mode that breaks exactly
-//! one obligation per program ([`mutate`]), and five differential
+//! one obligation per program ([`mutate`]), and four differential
 //! oracles ([`oracle`]) any violation of which is a real bug:
 //!
 //! 1. **Soundness** — verified programs run on both interpreters
@@ -11,13 +11,10 @@
 //!    exercised adversarially instead of on hand-picked fixtures).
 //! 2. **Determinism** — diagnostics are byte-identical for `jobs=1`
 //!    and `jobs=N`.
-//! 3. **Absint equivalence** — the abstract-interpretation pre-pass
-//!    changes no diagnostic byte and its discharge count exactly
-//!    accounts for the queries it saves.
-//! 4. **Incremental equivalence** — replaying a generated edit script
+//! 3. **Incremental equivalence** — replaying a generated edit script
 //!    through a [`rsc_incr::CheckSession`] matches a cold check at
 //!    every step.
-//! 5. **Workspace-merge equivalence** — a generated multi-file import
+//! 4. **Workspace-merge equivalence** — a generated multi-file import
 //!    closure checks byte-identically to its concatenation.
 //!
 //! The `rsc fuzz` subcommand drives [`run_fuzz`]; `rsc check
@@ -154,18 +151,6 @@ pub fn run_case(cfg: &FuzzConfig, case: u32, out: &mut FuzzSummary) {
     }
     if let Err(e) = oracle::determinism(&src, cfg.jobs) {
         out.violations.push(fail("determinism", e));
-    }
-
-    // Absint: the pre-pass must be invisible in diagnostics and exact
-    // in its query accounting — on the clean base and on the
-    // diagnostics-bearing mutant (where a wrong discharge would flip a
-    // failure).
-    if let Err(e) = oracle::absint(&src) {
-        out.violations
-            .push(fail("absint", format!("{e}\n--- program\n{src}")));
-    }
-    if let Err(e) = oracle::absint(&mutant_src) {
-        out.violations.push(fail("absint", e));
     }
 
     // Incremental: an edit script that introduces the mutation and

@@ -125,55 +125,6 @@ pub fn mutant_rejected(base: &GenProgram, m: &Mutation) -> Result<(), String> {
     Ok(())
 }
 
-/// **Absint equivalence**: the abstract-interpretation pre-pass may
-/// only *discharge* SMT queries, never change answers. With the
-/// pre-pass on and off: diagnostics are byte-identical, the verdict is
-/// the same, the off run discharges nothing, and the on run's
-/// `smt_queries + obligations_discharged` equals the off run's
-/// `smt_queries` — i.e. every skipped query is one the solver would
-/// have answered `Valid` (a discharged query that SMT would refute
-/// necessarily changes the fixpoint trajectory and with it the
-/// accounting or the diagnostics, so this equation is the replay
-/// contract in differential form).
-pub fn absint(src: &str) -> Result<(), String> {
-    let on = check_program(src, CheckerOptions::default());
-    let off = check_program(
-        src,
-        CheckerOptions {
-            absint: false,
-            ..CheckerOptions::default()
-        },
-    );
-    let (a, b) = (render(&on), render(&off));
-    if a != b {
-        return Err(format!(
-            "diagnostics differ with the absint pre-pass on vs off:\n--- on\n{a}\n--- off\n{b}"
-        ));
-    }
-    if on.ok() != off.ok() {
-        return Err(format!(
-            "verdict differs with the absint pre-pass: on={} off={}",
-            on.ok(),
-            off.ok()
-        ));
-    }
-    if off.stats.obligations_discharged != 0 {
-        return Err(format!(
-            "pre-pass disabled but {} obligations were discharged",
-            off.stats.obligations_discharged
-        ));
-    }
-    let attempted = on.stats.smt_queries + on.stats.obligations_discharged;
-    if attempted != off.stats.smt_queries {
-        return Err(format!(
-            "query accounting broken: on ({} queries + {} discharged = {attempted}) \
-             vs off ({} queries) — the pre-pass changed the fixpoint trajectory",
-            on.stats.smt_queries, on.stats.obligations_discharged, off.stats.smt_queries
-        ));
-    }
-    Ok(())
-}
-
 /// **Incremental equivalence**: replaying an edit script through a
 /// persistent [`CheckSession`] produces, at every step, diagnostics
 /// byte-identical to a cold `check_program` of that step.

@@ -28,13 +28,13 @@
 //!
 //! # Format and crash tolerance
 //!
-//! After a `rsc-bundle-cache v2 {version:016x}\n` header the file is a
+//! After a `rsc-bundle-cache v3 {version:016x}\n` header the file is a
 //! sequence of fixed-layout little-endian records:
 //!
 //! ```text
 //! u128 fingerprint
 //! u64  smt_queries, u64 discharged, u64 solve_ns
-//! u64×6 solver counters (queries, valid, sat_rounds,
+//! u64×7 solver counters (queries, theory_only, valid, sat_rounds,
 //!        theory_conflicts, cache_hits, cache_misses)
 //! u32  failure count, then that many u32 bundle-local indices
 //! ```
@@ -50,7 +50,7 @@ use std::sync::Mutex;
 use rsc_core::RetainedBundle;
 use rsc_smt::SolverStats;
 
-const MAGIC: &str = "rsc-bundle-cache v2";
+const MAGIC: &str = "rsc-bundle-cache v3";
 
 /// The bundle-verdict disk tier: a fingerprint-keyed, append-only store
 /// of [`RetainedBundle`]s for one cache version. See the module docs.
@@ -157,6 +157,7 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
     buf.extend_from_slice(&b.solve_ns.to_le_bytes());
     for c in [
         b.smt.queries,
+        b.smt.theory_only,
         b.smt.valid,
         b.smt.sat_rounds,
         b.smt.theory_conflicts,
@@ -173,8 +174,8 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
 
 /// Parses one record off the front of `bytes`; `None` on a torn tail.
 fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
-    // Fixed part: 16 (fp) + 8 + 8 + 8 + 6×8 (counters) + 4 (count).
-    const FIXED: usize = 16 + 8 + 8 + 8 + 48 + 4;
+    // Fixed part: 16 (fp) + 8 + 8 + 8 + 7×8 (counters) + 4 (count).
+    const FIXED: usize = 16 + 8 + 8 + 8 + 56 + 4;
     if bytes.len() < FIXED {
         return None;
     }
@@ -185,13 +186,14 @@ fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
     let solve_ns = u64_at(32);
     let smt = SolverStats {
         queries: u64_at(40),
-        valid: u64_at(48),
-        sat_rounds: u64_at(56),
-        theory_conflicts: u64_at(64),
-        cache_hits: u64_at(72),
-        cache_misses: u64_at(80),
+        theory_only: u64_at(48),
+        valid: u64_at(56),
+        sat_rounds: u64_at(64),
+        theory_conflicts: u64_at(72),
+        cache_hits: u64_at(80),
+        cache_misses: u64_at(88),
     };
-    let count = u32::from_le_bytes(bytes[88..92].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[96..100].try_into().unwrap()) as usize;
     let end = FIXED + 4 * count;
     if bytes.len() < end {
         return None;
@@ -227,6 +229,7 @@ mod tests {
             failures: vec![fp as usize, fp as usize + 3],
             smt: SolverStats {
                 queries: fp,
+                theory_only: fp + 6,
                 valid: fp + 1,
                 sat_rounds: fp + 2,
                 theory_conflicts: fp + 3,
@@ -254,7 +257,7 @@ mod tests {
         assert_eq!(reopened.loaded(), 2);
         let got = reopened.get(10).unwrap();
         assert_eq!(got.failures, a.failures);
-        assert_eq!(got.smt.valid, a.smt.valid);
+        assert_eq!(got.smt, a.smt);
         assert_eq!(got.smt_queries, a.smt_queries);
         assert_eq!(got.solve_ns, a.solve_ns);
         assert!(reopened.get(30).is_none());

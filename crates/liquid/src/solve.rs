@@ -71,10 +71,12 @@ pub struct LiquidResult {
     /// Concrete constraints that failed under the solution (type errors):
     /// indices into `ConstraintSet::subs` plus the structured blame.
     pub failures: Vec<(usize, Blame)>,
-    /// Number of SMT validity queries issued.
+    /// Validity queries that took the solver's full (VC cache or
+    /// DPLL(T)) path.
     pub smt_queries: u64,
-    /// Obligations discharged by the abstract-interpretation pre-pass
-    /// without an SMT query (candidate checks and concrete obligations).
+    /// Validity queries the solver answered with one theory check
+    /// ([`rsc_smt::SolverStats::theory_only`]); `smt_queries +
+    /// discharged` is every validity question the fixpoint asked.
     pub discharged: u64,
 }
 
@@ -87,27 +89,18 @@ pub struct SolveOptions {
     /// encoder — the reference path the differential tests compare
     /// against.
     pub incremental: bool,
-    /// Try the abstract-interpretation pre-pass before each SMT query
-    /// (default). The pre-pass may only *discharge* obligations (skip
-    /// queries whose goal its abstract state entails), never report
-    /// errors; because the entailment procedure is confined to the
-    /// solver's provable fragment, every discharge is re-derivable by
-    /// the solver from the same hypotheses, so the fixpoint trajectory,
-    /// the solution and every diagnostic are byte-identical with the
-    /// pre-pass on or off. Disable with `--no-absint`.
-    pub absint: bool,
 }
 
 impl Default for SolveOptions {
     fn default() -> Self {
-        SolveOptions {
-            incremental: true,
-            absint: true,
-        }
+        SolveOptions { incremental: true }
     }
 }
 
-/// Solves the constraint set with default options.
+/// Solves the constraint set with default options: incremental SMT
+/// contexts on. Every validity question goes to `smt`, whose
+/// theory-only path answers literal conjunctions before the VC cache
+/// and DPLL(T) see them.
 pub fn solve(cs: &ConstraintSet, smt: &mut Solver) -> LiquidResult {
     solve_with(cs, smt, SolveOptions::default())
 }
@@ -206,8 +199,8 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         sol.assignment.insert(*id, cands);
     }
 
-    let mut queries = 0u64;
-    let mut discharged = 0u64;
+    let mut questions = 0u64;
+    let theory_only_before = smt.stats.theory_only;
 
     // --- Fixpoint: weaken κ-headed constraints ------------------------------
     let kvar_headed: Vec<usize> = cs
@@ -279,22 +272,12 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                     .map(|(h, _)| h.clone())
                     .collect();
                 hyps.extend(guards.iter().cloned());
-                // Abstract-interpretation pre-pass: if the exact
-                // hypothesis list already abstractly entails the goal,
-                // the SMT query is guaranteed valid (the entailment
-                // procedure stays inside the solver's provable
-                // fragment) — keep the candidate without querying.
-                let valid = if opts.absint && rsc_absint::entailed_by(&binders, &hyps, &goal) {
-                    discharged += 1;
-                    true
+                questions += 1;
+                let valid = if opts.incremental {
+                    let ctx = ctxs.entry(ci).or_default();
+                    smt.is_valid_ctx(ctx, &env_sorts, &hyps, &goal)
                 } else {
-                    queries += 1;
-                    if opts.incremental {
-                        let ctx = ctxs.entry(ci).or_default();
-                        smt.is_valid_ctx(ctx, &env_sorts, &hyps, &goal)
-                    } else {
-                        smt.is_valid(&env_sorts, &hyps, &goal)
-                    }
+                    smt.is_valid(&env_sorts, &hyps, &goal)
                 };
                 if valid {
                     kept.push(q);
@@ -348,23 +331,17 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
             filter_relevant(all_hyps, seeds)
         };
         hyps.extend(guards.iter().cloned());
-        // Statically discharged obligations are valid by construction
-        // (the abstract entailment is strictly weaker than the solver);
-        // skip the query, never the failure check's soundness.
-        if opts.absint && rsc_absint::entailed_by(&binders, &hyps, &goal) {
-            discharged += 1;
-            continue;
-        }
-        queries += 1;
+        questions += 1;
         if !smt.is_valid(&env_sorts, &hyps, &goal) {
             failures.push((i, c.blame_with_renderings()));
         }
     }
 
+    let discharged = smt.stats.theory_only - theory_only_before;
     LiquidResult {
         solution: sol,
         failures,
-        smt_queries: queries,
+        smt_queries: questions - discharged,
         discharged,
     }
 }
@@ -526,23 +503,9 @@ mod tests {
     fn incremental_matches_fresh_path() {
         let (cs, k) = counter_constraints();
         let mut smt_a = Solver::new();
-        let a = solve_with(
-            &cs,
-            &mut smt_a,
-            SolveOptions {
-                incremental: true,
-                ..SolveOptions::default()
-            },
-        );
+        let a = solve_with(&cs, &mut smt_a, SolveOptions { incremental: true });
         let mut smt_b = Solver::new();
-        let b = solve_with(
-            &cs,
-            &mut smt_b,
-            SolveOptions {
-                incremental: false,
-                ..SolveOptions::default()
-            },
-        );
+        let b = solve_with(&cs, &mut smt_b, SolveOptions { incremental: false });
         let show = |r: &LiquidResult| {
             r.solution
                 .of(k)
@@ -553,69 +516,11 @@ mod tests {
         assert_eq!(show(&a), show(&b));
         assert_eq!(a.failures.len(), b.failures.len());
         assert_eq!(a.smt_queries, b.smt_queries);
-    }
-
-    /// The absint pre-pass must change only the query count: solution,
-    /// failures and the candidate trajectory are byte-identical with it
-    /// on or off, and on this workload it discharges something.
-    #[test]
-    fn absint_prepass_is_query_only() {
-        let (cs, k) = counter_constraints();
-        let mut smt_on = Solver::new();
-        let on = solve_with(&cs, &mut smt_on, SolveOptions::default());
-        let mut smt_off = Solver::new();
-        let off = solve_with(
-            &cs,
-            &mut smt_off,
-            SolveOptions {
-                absint: false,
-                ..SolveOptions::default()
-            },
+        assert_eq!(a.discharged, b.discharged);
+        assert!(
+            a.discharged > 0,
+            "the solver's theory-only path answers some"
         );
-        let show = |r: &LiquidResult| {
-            r.solution
-                .of(k)
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(show(&on), show(&off), "solutions must agree");
-        assert_eq!(on.failures.len(), off.failures.len());
-        assert_eq!(off.discharged, 0);
-        assert!(on.discharged > 0, "expected some static discharges");
-        assert_eq!(
-            on.smt_queries + on.discharged,
-            off.smt_queries,
-            "every skipped query must be a discharge, nothing else"
-        );
-    }
-
-    /// The discharge soundness contract: each obligation the pre-pass
-    /// discharges must be re-derivable by the SMT solver. Replay the
-    /// concrete obligations of a discharging workload through the
-    /// solver directly.
-    #[test]
-    fn discharged_obligations_replay_as_valid() {
-        let (cs, _) = counter_constraints();
-        let mut smt = Solver::new();
-        let r = solve_with(&cs, &mut smt, SolveOptions::default());
-        assert!(r.discharged > 0);
-        for c in cs.subs.iter() {
-            if matches!(c.rhs, Pred::KVar(..)) {
-                continue;
-            }
-            let (binders, all_hyps, guards) = prepare_hyps(&cs, c, &r.solution);
-            let env_sorts = SortScope::new(&*cs.sort_env, &binders);
-            let goal = r.solution.apply(&c.rhs);
-            let mut hyps = all_hyps;
-            hyps.extend(guards.iter().cloned());
-            if rsc_absint::entailed_by(&binders, &hyps, &goal) {
-                assert!(
-                    smt.is_valid(&env_sorts, &hyps, &goal),
-                    "discharged obligation must replay as valid: {goal}"
-                );
-            }
-        }
     }
 
     /// An unsatisfiable concrete constraint is reported as a failure.

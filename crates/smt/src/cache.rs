@@ -450,9 +450,10 @@ pub struct DiskCache {
 }
 
 /// Bumped whenever the encoder, theory combination, or canonicalization
-/// changes the meaning of a canonical VC fingerprint. Part of every
-/// [`DiskCache`] version hash.
-pub const ENCODER_VERSION: u64 = 1;
+/// changes the meaning of a canonical VC fingerprint or the solver
+/// counters a retained bundle verdict carries. Part of every
+/// [`DiskCache`] and bundle-store version hash.
+pub const ENCODER_VERSION: u64 = 2;
 
 const DISK_MAGIC: &str = "rsc-vc-cache v1";
 

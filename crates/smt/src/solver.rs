@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rsc_logic::{Pred, SortLookup, SortScope};
 
-use crate::atom::{AtomData, Formula};
+use crate::atom::{AtomData, AtomId, Formula};
 use crate::bv::Blaster;
 use crate::cache::{canonical_query_refs, VcCache};
 use crate::cnf::{tseitin, CnfStore};
@@ -27,6 +27,11 @@ pub enum SatResult {
 
 /// Per-solver statistics.
 ///
+/// A validity query is answered either by the *theory-only* check
+/// (`theory_only`) or by the cache/DPLL(T) path (`cache_hits` or
+/// `queries`), so `theory_only + cache_hits + cache_misses` is the
+/// number of validity questions asked of a cache-attached solver.
+///
 /// Counters accumulate from the last [`SolverStats::reset`] (or solver
 /// creation). Callers that report per-unit numbers — e.g. the parallel
 /// checking driver's per-function bundles — must [`SolverStats::take`]
@@ -34,9 +39,12 @@ pub enum SatResult {
 /// counters and mis-attributed all prior queries to the last unit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Number of satisfiability queries actually solved (cache hits are
-    /// counted in `cache_hits` instead).
+    /// Number of satisfiability queries actually solved by DPLL(T)
+    /// (cache hits and theory-only answers are counted separately).
     pub queries: u64,
+    /// Validity queries answered by one theory check over their literal
+    /// conjuncts, without Tseitin, SAT or the VC cache.
+    pub theory_only: u64,
     /// Number of validity queries answered "valid".
     pub valid: u64,
     /// Total SAT rounds across all queries.
@@ -64,6 +72,7 @@ impl SolverStats {
     /// Adds `other`'s counters into `self` (merging per-bundle stats).
     pub fn merge(&mut self, other: &SolverStats) {
         self.queries += other.queries;
+        self.theory_only += other.theory_only;
         self.valid += other.valid;
         self.sat_rounds += other.sat_rounds;
         self.theory_conflicts += other.theory_conflicts;
@@ -279,15 +288,88 @@ impl Solver {
         SatResult::Unknown
     }
 
+    /// The theory-only path, tried first by every validity query: one
+    /// [`theory::check`] over the literal conjuncts of `hyps ∧ ¬goal`,
+    /// encoded in the same order as the DPLL(T) path encodes them.
+    ///
+    /// * A conflict among the literal parts refutes the whole
+    ///   conjunction, whatever its non-literal parts say: *valid*.
+    /// * When every part is a literal conjunction, every atom is
+    ///   assigned and none is a bit-vector atom, the DPLL(T) loop's
+    ///   first model is exactly this assignment, so a consistent check
+    ///   is the `Sat` that loop would return: *not valid*.
+    ///
+    /// Anything else — an encoding error, or a consistent check with
+    /// disjunctions or unassigned atoms left — returns `None` and the
+    /// query takes the full path.
+    fn theory_only(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> Option<bool> {
+        let mut st = EncoderState::new();
+        let mut enc = Encoder::over(env, &mut st);
+        let mut lits: Vec<(AtomId, bool)> = Vec::new();
+        let mut all_literal = true;
+        let mut answer = |r: bool| {
+            self.stats.theory_only += 1;
+            Some(r)
+        };
+        for (p, pol) in hyps.iter().map(|h| (h, true)).chain([(goal, false)]) {
+            match enc.encode_pred(p, pol).ok()?.simplify() {
+                Formula::Const(true) => {}
+                Formula::Const(false) => return answer(true),
+                Formula::Lit(a, pol) => lits.push((a, pol)),
+                Formula::And(fs) => {
+                    for f in fs {
+                        match f {
+                            Formula::Lit(a, pol) => lits.push((a, pol)),
+                            _ => all_literal = false,
+                        }
+                    }
+                }
+                Formula::Or(_) => all_literal = false,
+            }
+        }
+        let mut assign: Vec<Option<bool>> = vec![None; st.atoms.len()];
+        for (a, pol) in lits {
+            let slot = &mut assign[a.0 as usize];
+            if *slot == Some(!pol) {
+                return answer(true);
+            }
+            *slot = Some(pol);
+        }
+        let verdict = theory::check(
+            &st.arena,
+            &st.atoms,
+            &st.defs,
+            &assign,
+            st.true_node,
+            st.false_node,
+        );
+        let complete = || {
+            all_literal
+                && assign
+                    .iter()
+                    .zip(&st.atoms)
+                    .all(|(a, d)| a.is_some() && !matches!(d, AtomData::BvEq(..)))
+        };
+        match verdict {
+            TheoryVerdict::Conflict(_) => answer(true),
+            TheoryVerdict::Consistent if complete() => answer(false),
+            TheoryVerdict::Consistent => None,
+        }
+    }
+
     /// Checks validity of `hyps ⇒ goal`: true only when the negation is
     /// proven unsatisfiable (Unknown answers count as *not valid*, the
     /// conservative direction for verification).
     ///
-    /// With a [`VcCache`] attached, the refutation query is canonicalized
-    /// first; cached Unsat fingerprints answer without solving, and
-    /// misses solve the canonical form and memoize an Unsat outcome.
+    /// The theory-only path answers literal conjunctions first. With a
+    /// [`VcCache`] attached, the remaining queries are canonicalized;
+    /// cached Unsat fingerprints answer without solving, and misses
+    /// solve the canonical form and memoize an Unsat outcome.
     pub fn is_valid(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> bool {
         let _sp = rsc_obs::span!("smt-query");
+        if let Some(r) = self.theory_only(env, hyps, goal) {
+            return self.count_valid(r);
+        }
         let neg_goal = Pred::not(goal.clone());
         let mut preds: Vec<&Pred> = hyps.iter().collect();
         preds.push(&neg_goal);
@@ -312,6 +394,10 @@ impl Solver {
             }
             None => self.is_sat_refs(env, &preds) == SatResult::Unsat,
         };
+        self.count_valid(r)
+    }
+
+    fn count_valid(&mut self, r: bool) -> bool {
         if r {
             self.stats.valid += 1;
         }
@@ -319,7 +405,8 @@ impl Solver {
     }
 
     /// Like [`Solver::is_valid`], but solving inside the persistent
-    /// incremental context `ctx` instead of a fresh encoder/CNF.
+    /// incremental context `ctx` instead of a fresh encoder/CNF. The
+    /// theory-only path still runs first, on a fresh encoding.
     ///
     /// The context caches the encoding of every hypothesis and goal it
     /// has seen under activation literals, so repeated queries over the
@@ -339,6 +426,9 @@ impl Solver {
         goal: &Pred,
     ) -> bool {
         let _sp = rsc_obs::span!("smt-query");
+        if let Some(r) = self.theory_only(env, hyps, goal) {
+            return self.count_valid(r);
+        }
         let r = match self.cache.clone() {
             Some(cache) => {
                 let neg_goal = Pred::not(goal.clone());
@@ -362,10 +452,7 @@ impl Solver {
                 ctx.query(env, hyps, goal, &mut self.stats, self.max_rounds) == SatResult::Unsat
             }
         };
-        if r {
-            self.stats.valid += 1;
-        }
-        r
+        self.count_valid(r)
     }
 }
 
@@ -378,10 +465,23 @@ impl Default for Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsc_logic::{CmpOp, SortEnv, Term};
+    use rsc_logic::{CmpOp, Sort, SortEnv, Term};
 
-    fn trivially_valid() -> Pred {
-        Pred::cmp(CmpOp::Le, Term::int(0), Term::int(1))
+    fn int_env() -> SortEnv {
+        let mut env = SortEnv::new();
+        env.bind("x", Sort::Int);
+        env
+    }
+
+    fn x_cmp(op: CmpOp, n: i64) -> Pred {
+        Pred::cmp(op, Term::var("x"), Term::int(n))
+    }
+
+    /// `x < 0 ∨ x > 5 ⊢ x ≠ 3`: valid, but only by case split, so it
+    /// takes the DPLL(T) path (and, with a cache attached, the cache).
+    fn disjunctive_query() -> (Vec<Pred>, Pred) {
+        let hyp = Pred::or(vec![x_cmp(CmpOp::Lt, 0), x_cmp(CmpOp::Gt, 5)]);
+        (vec![hyp], x_cmp(CmpOp::Ne, 3))
     }
 
     /// Per-bundle reporting relies on `take` zeroing the counters: before
@@ -389,14 +489,15 @@ mod tests {
     /// totals and attributed every earlier bundle's queries to the last.
     #[test]
     fn stats_take_resets_per_bundle_counters() {
-        let env = SortEnv::new();
-        let goal = trivially_valid();
+        let env = int_env();
+        let (hyps, goal) = disjunctive_query();
         let mut s = Solver::new();
-        assert!(s.is_valid(&env, &[], &goal));
+        assert!(s.is_valid(&env, &hyps, &goal));
         let first = s.stats.take();
         assert_eq!(first.queries, 1);
+        assert_eq!(first.theory_only, 0, "a disjunction needs DPLL(T)");
         assert_eq!(s.stats, SolverStats::default(), "take must reset");
-        assert!(s.is_valid(&env, &[], &goal));
+        assert!(s.is_valid(&env, &hyps, &goal));
         assert_eq!(s.stats.queries, 1, "second bundle counts only itself");
         let mut merged = first;
         merged.merge(&s.stats);
@@ -406,15 +507,149 @@ mod tests {
 
     #[test]
     fn cache_hits_skip_solving() {
-        let env = SortEnv::new();
-        let goal = trivially_valid();
+        let env = int_env();
+        let (hyps, goal) = disjunctive_query();
         let cache = VcCache::shared();
         let mut a = Solver::with_cache(cache.clone());
-        assert!(a.is_valid(&env, &[], &goal));
+        assert!(a.is_valid(&env, &hyps, &goal));
         assert_eq!(a.stats.cache_misses, 1);
         let mut b = Solver::with_cache(cache);
-        assert!(b.is_valid(&env, &[], &goal));
+        assert!(b.is_valid(&env, &hyps, &goal));
         assert_eq!(b.stats.cache_hits, 1);
         assert_eq!(b.stats.queries, 0, "hit must not run the SAT core");
+    }
+
+    /// Literal conjunctions are answered by one theory check in both
+    /// directions, before the cache and without a SAT round.
+    #[test]
+    fn literal_conjunctions_take_the_theory_only_path() {
+        let env = int_env();
+        let cache = VcCache::shared();
+        let mut s = Solver::with_cache(cache.clone());
+        assert!(s.is_valid(&env, &[x_cmp(CmpOp::Lt, 3)], &x_cmp(CmpOp::Le, 5)));
+        assert!(!s.is_valid(&env, &[x_cmp(CmpOp::Lt, 3)], &x_cmp(CmpOp::Le, 1)));
+        let mut ctx = crate::incr::IncrContext::new();
+        assert!(s.is_valid_ctx(&mut ctx, &env, &[x_cmp(CmpOp::Eq, 2)], &x_cmp(CmpOp::Ge, 2)));
+        assert_eq!(s.stats.theory_only, 3);
+        assert_eq!(s.stats.valid, 2);
+        assert_eq!(s.stats.queries + s.stats.sat_rounds, 0);
+        assert_eq!(s.stats.cache_hits + s.stats.cache_misses, 0);
+        assert!(
+            cache.snapshot_keys().is_empty(),
+            "theory-only answers are not memoized"
+        );
+    }
+
+    fn env_of(binders: &[(&str, Sort)]) -> SortEnv {
+        let mut env = SortEnv::new();
+        for (x, s) in binders {
+            env.bind(*x, *s);
+        }
+        env.declare_fun("nullv", rsc_logic::FunSig::Fixed(vec![], Sort::Ref));
+        env.declare_fun("undefv", rsc_logic::FunSig::Fixed(vec![], Sort::Ref));
+        env
+    }
+
+    /// `is_valid` on a fresh solver, asserting the theory-only path
+    /// answered it.
+    fn decide(env: &SortEnv, hyps: &[Pred], goal: &Pred) -> bool {
+        let mut s = Solver::new();
+        let r = s.is_valid(env, hyps, goal);
+        assert_eq!((s.stats.theory_only, s.stats.queries), (1, 0), "{goal}");
+        r
+    }
+
+    fn int_binders() -> SortEnv {
+        env_of(&[("x", Sort::Int), ("y", Sort::Int), ("v", Sort::Int)])
+    }
+
+    #[test]
+    fn interval_discharge_basics() {
+        let env = int_binders();
+        // x = 0 ∧ v = x + 1 ⊨ 0 < v
+        let hyps = [
+            Pred::cmp(CmpOp::Eq, Term::var("x"), Term::int(0)),
+            Pred::cmp(
+                CmpOp::Eq,
+                Term::vv(),
+                Term::add(Term::var("x"), Term::int(1)),
+            ),
+        ];
+        let lt = |n| Pred::cmp(CmpOp::Lt, Term::int(n), Term::vv());
+        assert!(decide(&env, &hyps, &lt(0)));
+        assert!(!decide(&env, &hyps, &lt(1)));
+    }
+
+    #[test]
+    fn tightening_matches_integer_division() {
+        let env = int_binders();
+        // 2x ≤ 7 ⊨ x ≤ 3 (integer tightening), but not x ≤ 2.
+        let hyps = [Pred::cmp(
+            CmpOp::Le,
+            Term::mul(Term::int(2), Term::var("x")),
+            Term::int(7),
+        )];
+        assert!(decide(&env, &hyps, &x_cmp(CmpOp::Le, 3)));
+        assert!(!decide(&env, &hyps, &x_cmp(CmpOp::Le, 2)));
+    }
+
+    /// Contradictory literal hypotheses entail any encodable goal, even
+    /// one whose negation is a disjunction the theory check never sees.
+    #[test]
+    fn contradictory_hypotheses_entail_everything() {
+        let env = int_binders();
+        let hyps = [x_cmp(CmpOp::Lt, 0), x_cmp(CmpOp::Gt, 0)];
+        assert!(decide(&env, &hyps, &Pred::False));
+        let goal = Pred::and(vec![x_cmp(CmpOp::Eq, 7), x_cmp(CmpOp::Eq, 8)]);
+        assert!(decide(&env, &hyps, &goal));
+    }
+
+    #[test]
+    fn nullness_through_equalities() {
+        let env = env_of(&[("p", Sort::Ref), ("v", Sort::Ref)]);
+        let ne = |t: Term, c: &str| Pred::cmp(CmpOp::Ne, t, Term::app(c, vec![]));
+        let hyps = [
+            ne(Term::var("p"), "nullv"),
+            Pred::cmp(CmpOp::Eq, Term::vv(), Term::var("p")),
+        ];
+        assert!(decide(&env, &hyps, &ne(Term::vv(), "nullv")));
+        // EUF cannot refute nullv = undefv.
+        assert!(!decide(&env, &hyps, &ne(Term::vv(), "undefv")));
+    }
+
+    #[test]
+    fn len_atoms_flow_through_axioms() {
+        let env = env_of(&[("a", Sort::Ref), ("i", Sort::Int), ("v", Sort::Int)]);
+        // 0 ≤ len(a) ∧ i < len(a) ∧ 0 ≤ i ∧ v = i ⊨ 0 ≤ v ∧ v < len(a)
+        let len_a = Term::len_of(Term::var("a"));
+        let hyps = [
+            Pred::cmp(CmpOp::Le, Term::int(0), len_a.clone()),
+            Pred::cmp(CmpOp::Lt, Term::var("i"), len_a.clone()),
+            Pred::cmp(CmpOp::Le, Term::int(0), Term::var("i")),
+            Pred::cmp(CmpOp::Eq, Term::vv(), Term::var("i")),
+        ];
+        assert!(decide(
+            &env,
+            &hyps,
+            &Pred::cmp(CmpOp::Le, Term::int(0), Term::vv())
+        ));
+        assert!(decide(
+            &env,
+            &hyps,
+            &Pred::cmp(CmpOp::Lt, Term::vv(), len_a)
+        ));
+    }
+
+    /// A goal that fails to encode (a variable outside the sort scope)
+    /// is never proven — not even under contradictory hypotheses — and
+    /// is left to the full path, which answers `Unknown` for it.
+    #[test]
+    fn unencodable_goal_falls_through() {
+        let env = int_env();
+        let mut s = Solver::new();
+        let hyps = [x_cmp(CmpOp::Lt, 0), x_cmp(CmpOp::Ge, 0)];
+        let goal = Pred::vv_eq(Term::var("unbound"));
+        assert!(!s.is_valid(&env, &hyps, &goal));
+        assert_eq!((s.stats.theory_only, s.stats.queries), (0, 1));
     }
 }

@@ -14,8 +14,10 @@ to catch real solver-path regressions without flaking on one noisy sample.
 It also gates the `smt_queries` count per benchmark: unlike wall time,
 query counts are fully deterministic, so any single benchmark issuing more
 than 1 + max-query-regress (default 10%) times its baseline queries fails —
-that is the absint pre-pass (or the solver's query strategy) losing ground,
-not runner noise.
+that is the solver's theory-only path (or its query strategy) losing
+ground, not runner noise. `smt_queries` counts the fixpoint's validity
+questions that took the full VC-cache/DPLL(T) path; the ones answered by
+one theory check are reported separately as `discharged`.
 """
 
 import argparse

@@ -98,7 +98,6 @@ fn main() {
             "--no-mined-qualifiers" => opts.mine_qualifiers = false,
             "--no-vc-cache" => opts.vc_cache = false,
             "--no-incremental-smt" => opts.incremental_smt = false,
-            "--no-absint" => opts.absint = false,
             "--lints" => opts.lints = true,
             "--no-lints" => opts.lints = false,
             "--jobs" | "-j" => want_jobs = true,
@@ -937,7 +936,7 @@ fn print_usage() {
     eprintln!(
         "usage: rsc [--no-path-sensitivity] [--no-prelude-qualifiers] \
          [--no-mined-qualifiers] [--no-vc-cache] [--no-incremental-smt] \
-         [--no-absint] [--no-lints] [--vc-cache DIR] [--jobs N] [--quiet] \
+         [--no-lints] [--vc-cache DIR] [--jobs N] [--quiet] \
          <file.rsc | dir>...\n\
          \u{20}      rsc serve            read NDJSON requests on stdin (load/edit/check,\n\
          \u{20}                           LSP didOpen/didChange), respond per line\n\
@@ -965,9 +964,6 @@ fn print_usage() {
          --no-incremental-smt  solve each fixpoint query in a fresh SMT\n\
          \u{20}         context instead of per-constraint persistent ones\n\
          \u{20}         (ablation/debug; diagnostics are identical)\n\
-         --no-absint  skip the abstract-interpretation pre-pass that\n\
-         \u{20}         discharges obligations before SMT (ablation;\n\
-         \u{20}         diagnostics are identical, more queries are issued)\n\
          --no-lints  suppress the dataflow lint warnings (L0001-L0004:\n\
          \u{20}         unreachable branch, tautological guard, dead\n\
          \u{20}         refinement, constant index out of bounds)\n\

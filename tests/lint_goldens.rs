@@ -107,9 +107,7 @@ fn lint_fixtures() {
     }
 }
 
-/// Disabling the lint pass empties `lints` and changes no error byte;
-/// disabling the absint pre-pass keeps every lint (the lint layer does
-/// not depend on the discharge tier).
+/// Disabling the lint pass empties `lints` and changes no error byte.
 #[test]
 fn lints_are_severable_from_errors() {
     for (_, slug, src, _) in cases() {
@@ -133,25 +131,6 @@ fn lints_are_severable_from_errors() {
             render(&on),
             render(&off),
             "{slug}: disabling lints changed the error stream"
-        );
-        let no_absint = check_program(
-            src,
-            CheckerOptions {
-                absint: false,
-                ..CheckerOptions::default()
-            },
-        );
-        let lint_line = |r: &rsc_core::CheckResult| {
-            r.lints
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            lint_line(&on),
-            lint_line(&no_absint),
-            "{slug}: --no-absint changed the lint stream"
         );
     }
 }

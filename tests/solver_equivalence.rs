@@ -49,6 +49,11 @@ fn assert_equivalent(name: &str, a_label: &str, a: &CheckResult, b_label: &str, 
         a.stats.smt_queries, b.stats.smt_queries,
         "{name}: liquid query count differs between {a_label} and {b_label}"
     );
+    assert_eq!(
+        a.stats.smt_queries + a.stats.obligations_discharged,
+        b.stats.smt_queries + b.stats.obligations_discharged,
+        "{name}: validity questions asked differ between {a_label} and {b_label}"
+    );
     assert_eq!(a.stats.constraints, b.stats.constraints, "{name}");
     assert_eq!(a.stats.bundles, b.stats.bundles, "{name}");
 }
