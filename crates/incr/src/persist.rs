@@ -28,14 +28,15 @@
 //!
 //! # Format and crash tolerance
 //!
-//! After a `rsc-bundle-cache v3 {version:016x}\n` header the file is a
+//! After a `rsc-bundle-cache v4 {version:016x}\n` header the file is a
 //! sequence of fixed-layout little-endian records:
 //!
 //! ```text
 //! u128 fingerprint
 //! u64  smt_queries, u64 discharged, u64 solve_ns
-//! u64×7 solver counters (queries, theory_only, valid, sat_rounds,
-//!        theory_conflicts, cache_hits, cache_misses)
+//! u64×12 solver counters (queries, theory_only, valid, sat_rounds,
+//!        theory_conflicts, cache_hits, cache_misses, lia_checks,
+//!        eq_probes, eq_probes_pruned, lia_pivots, lia_gave_up)
 //! u32  failure count, then that many u32 bundle-local indices
 //! ```
 //!
@@ -50,7 +51,7 @@ use std::sync::Mutex;
 use rsc_core::RetainedBundle;
 use rsc_smt::SolverStats;
 
-const MAGIC: &str = "rsc-bundle-cache v3";
+const MAGIC: &str = "rsc-bundle-cache v4";
 
 /// The bundle-verdict disk tier: a fingerprint-keyed, append-only store
 /// of [`RetainedBundle`]s for one cache version. See the module docs.
@@ -163,6 +164,11 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
         b.smt.theory_conflicts,
         b.smt.cache_hits,
         b.smt.cache_misses,
+        b.smt.lia_checks,
+        b.smt.eq_probes,
+        b.smt.eq_probes_pruned,
+        b.smt.lia_pivots,
+        b.smt.lia_gave_up,
     ] {
         buf.extend_from_slice(&c.to_le_bytes());
     }
@@ -174,8 +180,8 @@ fn write_record(buf: &mut Vec<u8>, fp: u128, b: &RetainedBundle) {
 
 /// Parses one record off the front of `bytes`; `None` on a torn tail.
 fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
-    // Fixed part: 16 (fp) + 8 + 8 + 8 + 7×8 (counters) + 4 (count).
-    const FIXED: usize = 16 + 8 + 8 + 8 + 56 + 4;
+    // Fixed part: 16 (fp) + 8 + 8 + 8 + 12×8 (counters) + 4 (count).
+    const FIXED: usize = 16 + 8 + 8 + 8 + 96 + 4;
     if bytes.len() < FIXED {
         return None;
     }
@@ -192,8 +198,13 @@ fn read_record(bytes: &[u8]) -> Option<(u128, RetainedBundle, &[u8])> {
         theory_conflicts: u64_at(72),
         cache_hits: u64_at(80),
         cache_misses: u64_at(88),
+        lia_checks: u64_at(96),
+        eq_probes: u64_at(104),
+        eq_probes_pruned: u64_at(112),
+        lia_pivots: u64_at(120),
+        lia_gave_up: u64_at(128),
     };
-    let count = u32::from_le_bytes(bytes[96..100].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[136..140].try_into().unwrap()) as usize;
     let end = FIXED + 4 * count;
     if bytes.len() < end {
         return None;
@@ -235,6 +246,11 @@ mod tests {
                 theory_conflicts: fp + 3,
                 cache_hits: fp + 4,
                 cache_misses: fp + 5,
+                lia_checks: fp + 7,
+                eq_probes: fp + 8,
+                eq_probes_pruned: fp + 9,
+                lia_pivots: fp + 10,
+                lia_gave_up: fp + 11,
             },
             smt_queries: fp * 10,
             discharged: fp * 7,

@@ -453,7 +453,7 @@ pub struct DiskCache {
 /// changes the meaning of a canonical VC fingerprint or the solver
 /// counters a retained bundle verdict carries. Part of every
 /// [`DiskCache`] and bundle-store version hash.
-pub const ENCODER_VERSION: u64 = 2;
+pub const ENCODER_VERSION: u64 = 3;
 
 const DISK_MAGIC: &str = "rsc-vc-cache v1";
 

@@ -323,7 +323,7 @@ impl IncrContext {
                         let val = model[l.var() as usize];
                         assign[i] = Some(if l.is_neg() { !val } else { val });
                     }
-                    let run = |assign: &[Option<bool>]| {
+                    let run = |assign: &[Option<bool>], stats: &mut SolverStats| {
                         theory::check_scoped(
                             &self.st.arena,
                             &self.st.atoms,
@@ -333,9 +333,10 @@ impl IncrContext {
                             self.st.false_node,
                             Some(&scope),
                             Some(&assigned_hint),
+                            stats,
                         )
                     };
-                    match run(&assign) {
+                    match run(&assign, stats) {
                         TheoryVerdict::Consistent => return SatResult::Sat,
                         TheoryVerdict::Conflict(ids) => {
                             stats.theory_conflicts += 1;
@@ -347,8 +348,8 @@ impl IncrContext {
                                 a
                             };
                             let mut core = ids.clone();
-                            let check_core = |core: &[AtomId]| {
-                                matches!(run(&restrict(core)), TheoryVerdict::Conflict(_))
+                            let mut check_core = |core: &[AtomId]| {
+                                matches!(run(&restrict(core), stats), TheoryVerdict::Conflict(_))
                             };
                             // A core covering every assigned atom restricts
                             // to the assignment itself — already known to

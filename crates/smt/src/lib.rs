@@ -12,16 +12,22 @@
 //!
 //! * [`sat`] — a CDCL SAT core (watched literals, 1UIP learning),
 //! * [`euf`] — congruence closure,
-//! * [`lia`] — integer-tightened Fourier–Motzkin with equality
-//!   substitution and disequality splitting,
+//! * [`lia`] — a bounded simplex over exact rationals (Dutertre–de
+//!   Moura) with branch-and-bound, a GCD test for equalities and
+//!   model-driven disequality splitting; every feasible answer carries
+//!   an integer model,
 //! * [`bv`] — eager bit-blasting of 32-bit vector operations,
-//! * [`theory`] — EUF+LIA combination with bounded Nelson–Oppen equality
-//!   propagation,
+//! * [`theory`] — EUF+LIA combination by bounded Nelson–Oppen equality
+//!   propagation, where pairs an integer model already separates are
+//!   pruned and the rest are probed on the live simplex tableau,
 //! * [`solver`] — the lazy DPLL(T) driver exposing [`Solver::is_valid`].
 //!
 //! Soundness contract: the only answer verification relies on is
 //! [`SatResult::Unsat`], and every resource cap or incompleteness in the
 //! solver errs toward `Sat`/`Unknown`, i.e. toward *rejecting* programs.
+//! The LIA core's one cap is its fuel per problem (pivots plus branches,
+//! shared by the check and its equality probes); spending it, or
+//! overflowing `i128`, answers "feasible".
 
 #![warn(missing_docs)]
 

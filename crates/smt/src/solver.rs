@@ -55,6 +55,19 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// Validity queries that missed the cache and ran the solver.
     pub cache_misses: u64,
+    /// LIA searches: one feasibility check per theory-combination round
+    /// plus one per equality-probe half.
+    pub lia_checks: u64,
+    /// Nelson–Oppen equality probes solved on the tableau.
+    pub eq_probes: u64,
+    /// Equality probes skipped because an integer model already gave the
+    /// pair different values.
+    pub eq_probes_pruned: u64,
+    /// Simplex pivots across all LIA searches.
+    pub lia_pivots: u64,
+    /// LIA searches that ran out of fuel or overflowed and answered
+    /// "feasible" without proof.
+    pub lia_gave_up: u64,
 }
 
 impl SolverStats {
@@ -78,6 +91,11 @@ impl SolverStats {
         self.theory_conflicts += other.theory_conflicts;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.lia_checks += other.lia_checks;
+        self.eq_probes += other.eq_probes;
+        self.eq_probes_pruned += other.eq_probes_pruned;
+        self.lia_pivots += other.lia_pivots;
+        self.lia_gave_up += other.lia_gave_up;
     }
 }
 
@@ -231,6 +249,7 @@ impl Solver {
                         &assign,
                         st.true_node,
                         st.false_node,
+                        &mut self.stats,
                     ) {
                         TheoryVerdict::Consistent => return SatResult::Sat,
                         TheoryVerdict::Conflict(ids) => {
@@ -246,7 +265,7 @@ impl Solver {
                                 a
                             };
                             let mut core = ids.clone();
-                            let check_core = |core: &[crate::atom::AtomId]| {
+                            let mut check_core = |core: &[crate::atom::AtomId]| {
                                 matches!(
                                     theory::check(
                                         &st.arena,
@@ -255,6 +274,7 @@ impl Solver {
                                         &restrict(core),
                                         st.true_node,
                                         st.false_node,
+                                        &mut self.stats,
                                     ),
                                     TheoryVerdict::Conflict(_)
                                 )
@@ -307,14 +327,14 @@ impl Solver {
         let mut enc = Encoder::over(env, &mut st);
         let mut lits: Vec<(AtomId, bool)> = Vec::new();
         let mut all_literal = true;
-        let mut answer = |r: bool| {
-            self.stats.theory_only += 1;
+        let answer = |stats: &mut SolverStats, r: bool| {
+            stats.theory_only += 1;
             Some(r)
         };
         for (p, pol) in hyps.iter().map(|h| (h, true)).chain([(goal, false)]) {
             match enc.encode_pred(p, pol).ok()?.simplify() {
                 Formula::Const(true) => {}
-                Formula::Const(false) => return answer(true),
+                Formula::Const(false) => return answer(&mut self.stats, true),
                 Formula::Lit(a, pol) => lits.push((a, pol)),
                 Formula::And(fs) => {
                     for f in fs {
@@ -331,7 +351,7 @@ impl Solver {
         for (a, pol) in lits {
             let slot = &mut assign[a.0 as usize];
             if *slot == Some(!pol) {
-                return answer(true);
+                return answer(&mut self.stats, true);
             }
             *slot = Some(pol);
         }
@@ -342,6 +362,7 @@ impl Solver {
             &assign,
             st.true_node,
             st.false_node,
+            &mut self.stats,
         );
         let complete = || {
             all_literal
@@ -351,8 +372,8 @@ impl Solver {
                     .all(|(a, d)| a.is_some() && !matches!(d, AtomData::BvEq(..)))
         };
         match verdict {
-            TheoryVerdict::Conflict(_) => answer(true),
-            TheoryVerdict::Consistent if complete() => answer(false),
+            TheoryVerdict::Conflict(_) => answer(&mut self.stats, true),
+            TheoryVerdict::Consistent if complete() => answer(&mut self.stats, false),
             TheoryVerdict::Consistent => None,
         }
     }

@@ -1,12 +1,25 @@
 //! Theory combination: congruence closure (EUF) plus linear integer
 //! arithmetic, glued by a bounded Nelson–Oppen equality-propagation loop.
+//!
+//! Each round closes the EUF atoms, translates the arithmetic atoms over
+//! the congruence classes and checks them with the simplex core. If they
+//! are feasible, the round looks for an equality between two integer
+//! arguments of uninterpreted applications that the arithmetic entails
+//! and EUF does not know yet; merging it may expose a new congruence, so
+//! the next round starts over. The search is model-based: the core
+//! returns integer models, a pair the models give different values
+//! cannot be entailed, and only model-equal pairs are probed, each by
+//! one bound asserted on the tableau and retracted. At most
+//! `MAX_NO_ROUNDS` rounds run, and each visits at most
+//! `MAX_EQ_PROBE_PAIRS` pairs.
 
 use rsc_logic::Sort;
 
 use crate::atom::{AtomData, AtomId, NLinExp};
 use crate::euf::{Euf, EufResult};
-use crate::lia::{LiaProblem, LinExp};
+use crate::lia::{LiaProblem, LiaResult, LinExp, Simplex};
 use crate::node::{Arena, ConstKind, Node, NodeId};
+use crate::solver::SolverStats;
 
 /// The verdict of a theory consistency check over a full propositional
 /// assignment.
@@ -100,9 +113,50 @@ fn derive_constants(eqs: &[crate::lia::LinExp]) -> std::collections::HashMap<u32
 }
 const MAX_EQ_PROBE_PAIRS: usize = 48;
 
+/// The first candidate pair, in order, whose equality the feasible
+/// arithmetic rows entail — model-based theory combination.
+///
+/// Pairs are visited in a fixed order under a budget of
+/// [`MAX_EQ_PROBE_PAIRS`]. A pair is skipped without solving when a
+/// variable occurs in no row (an unconstrained variable always admits a
+/// strict separation) or when an integer model found so far gives the
+/// two different values (that model refutes the equality). Skipped pairs
+/// still count against the budget, so the pairs visited, and thus the
+/// verdict, do not depend on which models the search happened to find.
+/// The remaining pairs are probed on the live tableau, and every
+/// feasible probe adds a model that prunes later pairs.
+fn entailed_pair(
+    lia: &mut Simplex,
+    candidates: &[NodeId],
+    stats: &mut SolverStats,
+) -> Option<(NodeId, NodeId)> {
+    let mut budget = MAX_EQ_PROBE_PAIRS;
+    for (i, &x) in candidates.iter().enumerate() {
+        for &y in &candidates[i + 1..] {
+            if budget == 0 {
+                return None;
+            }
+            budget -= 1;
+            if !(lia.mentions(x.0) && lia.mentions(y.0)) {
+                continue;
+            }
+            if lia.separated(x.0, y.0) {
+                stats.eq_probes_pruned += 1;
+                continue;
+            }
+            stats.eq_probes += 1;
+            if lia.entails_eq(x.0, y.0) {
+                return Some((x, y));
+            }
+        }
+    }
+    None
+}
+
 /// Checks whether the assignment of theory atoms is consistent with
 /// EUF + LIA. `assign[i]` is the polarity of atom `i`, or `None` for atoms
-/// outside the theory (bit-vector atoms, which are blasted eagerly).
+/// outside the theory (bit-vector atoms, which are blasted eagerly). The
+/// arithmetic counters (`lia_*`, `eq_probes*`) accumulate into `stats`.
 pub fn check(
     arena: &Arena,
     atoms: &[AtomData],
@@ -110,9 +164,10 @@ pub fn check(
     assign: &[Option<bool>],
     true_node: NodeId,
     false_node: NodeId,
+    stats: &mut SolverStats,
 ) -> TheoryVerdict {
     check_scoped(
-        arena, atoms, defs, assign, true_node, false_node, None, None,
+        arena, atoms, defs, assign, true_node, false_node, None, None, stats,
     )
 }
 
@@ -141,6 +196,7 @@ pub fn check_scoped(
     false_node: NodeId,
     scope: Option<&[NodeId]>,
     assigned_hint: Option<&[AtomId]>,
+    stats: &mut SolverStats,
 ) -> TheoryVerdict {
     let app_nodes = |arena: &Arena| -> Vec<NodeId> {
         match scope {
@@ -329,60 +385,38 @@ pub fn check_scoped(
             }
         }
 
-        if prob.feasible() == crate::lia::LiaResult::Infeasible {
-            return TheoryVerdict::Conflict(involved);
-        }
-
-        // --- Nelson–Oppen equality propagation ------------------------------
-        // Candidate nodes: integer-sorted nodes in argument position of an
-        // uninterpreted application (only these can trigger new congruences).
-        let mut candidates: Vec<NodeId> = Vec::new();
-        for &id in &sweep {
-            if let Node::App(_, args, _) = arena.node(id) {
-                for &a in args {
-                    if arena.sort(a) == Sort::Int {
-                        let rep = euf.find(a);
-                        if arena.const_kind(rep).is_none() && !candidates.contains(&rep) {
-                            candidates.push(rep);
+        let mut lia = Simplex::new(&prob);
+        let feasible = lia.check() == LiaResult::Feasible;
+        let found = if feasible {
+            // --- Nelson–Oppen equality propagation --------------------------
+            // Candidate nodes: integer-sorted nodes in argument position of
+            // an uninterpreted application (only these can trigger new
+            // congruences).
+            let mut candidates: Vec<NodeId> = Vec::new();
+            for &id in &sweep {
+                if let Node::App(_, args, _) = arena.node(id) {
+                    for &a in args {
+                        if arena.sort(a) == Sort::Int {
+                            let rep = euf.find(a);
+                            if arena.const_kind(rep).is_none() && !candidates.contains(&rep) {
+                                candidates.push(rep);
+                            }
                         }
                     }
                 }
             }
-        }
-        // A probe `x = y?` can only be entailed when both variables occur
-        // in some row — an unconstrained variable always admits a strict
-        // separation. Skipped probes still count against the budget, so
-        // the probe sequence (and thus the verdict) is exactly the one
-        // the unfiltered loop would produce, minus the doomed solves.
-        let mut bounded: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for e in prob
-            .les
-            .iter()
-            .chain(prob.eqs.iter())
-            .chain(prob.diseqs.iter())
-        {
-            bounded.extend(e.coeffs.keys().copied());
-        }
-        let mut found: Option<(NodeId, NodeId)> = None;
-        let mut probes = 0usize;
-        'outer: for i in 0..candidates.len() {
-            for j in (i + 1)..candidates.len() {
-                if probes >= MAX_EQ_PROBE_PAIRS {
-                    break 'outer;
-                }
-                probes += 1;
-                let (x, y) = (candidates[i], candidates[j]);
-                if bounded.contains(&x.0) && bounded.contains(&y.0) && prob.entails_eq(x.0, y.0) {
-                    found = Some((x, y));
-                    break 'outer;
-                }
-            }
+            entailed_pair(&mut lia, &candidates, stats)
+        } else {
+            None
+        };
+        stats.lia_checks += lia.stats.checks;
+        stats.lia_pivots += lia.stats.pivots;
+        stats.lia_gave_up += lia.stats.gave_up;
+        if !feasible {
+            return TheoryVerdict::Conflict(involved);
         }
         match found {
-            Some(pair) => {
-                extra_merges.push(pair);
-                continue;
-            }
+            Some(pair) => extra_merges.push(pair),
             None => return TheoryVerdict::Consistent,
         }
     }
@@ -393,6 +427,24 @@ pub fn check_scoped(
 mod tests {
     use super::*;
     use rsc_logic::Sym;
+
+    fn check_fresh(
+        arena: &Arena,
+        atoms: &[AtomData],
+        assign: &[Option<bool>],
+        tn: NodeId,
+        fnode: NodeId,
+    ) -> TheoryVerdict {
+        check(
+            arena,
+            atoms,
+            &[],
+            assign,
+            tn,
+            fnode,
+            &mut SolverStats::default(),
+        )
+    }
 
     /// x = y, len(x) ≤ 3, len(y) ≥ 5 should conflict via congruence.
     #[test]
@@ -418,7 +470,7 @@ mod tests {
             }), // 5 - len(y) <= 0
         ];
         let assign = vec![Some(true), Some(true), Some(true)];
-        let v = check(&arena, &atoms, &[], &assign, tn, fnode);
+        let v = check_fresh(&arena, &atoms, &assign, tn, fnode);
         assert!(matches!(v, TheoryVerdict::Conflict(_)));
     }
 
@@ -443,7 +495,7 @@ mod tests {
             AtomData::EufEq(fi, fj),
         ];
         let assign = vec![Some(true), Some(true), Some(false)];
-        let v = check(&arena, &atoms, &[], &assign, tn, fnode);
+        let v = check_fresh(&arena, &atoms, &assign, tn, fnode);
         assert!(matches!(v, TheoryVerdict::Conflict(_)));
     }
 
@@ -456,7 +508,7 @@ mod tests {
         let mut e = NLinExp::node(x);
         e.konst = -10; // x <= 10
         let atoms = vec![AtomData::LinLe(e)];
-        let v = check(&arena, &atoms, &[], &[Some(true)], tn, fnode);
+        let v = check_fresh(&arena, &atoms, &[Some(true)], tn, fnode);
         assert_eq!(v, TheoryVerdict::Consistent);
     }
 
@@ -472,7 +524,7 @@ mod tests {
         let atoms = vec![AtomData::BoolNode(p)];
         // Atom asserted both ways cannot happen with one atom id; check that
         // a single positive assertion is consistent.
-        let v = check(&arena, &atoms, &[], &[Some(true)], tn, fnode);
+        let v = check_fresh(&arena, &atoms, &[Some(true)], tn, fnode);
         assert_eq!(v, TheoryVerdict::Consistent);
     }
 }

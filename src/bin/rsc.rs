@@ -329,6 +329,8 @@ fn stats_json_entry(
             bundles,
             "{{\"index\":{i},\"constraints\":{},\"kvars\":{},\"cached\":{},\
              \"failures\":{},\"smt_queries\":{},\"cache_hits\":{},\
+             \"lia_checks\":{},\"eq_probes\":{},\"eq_probes_pruned\":{},\
+             \"lia_pivots\":{},\"lia_gave_up\":{},\
              \"discharged_static\":{},\"solve_us\":{}}}",
             b.constraints,
             b.kvars,
@@ -336,6 +338,11 @@ fn stats_json_entry(
             b.failures.len(),
             b.smt_queries,
             b.smt.cache_hits,
+            b.smt.lia_checks,
+            b.smt.eq_probes,
+            b.smt.eq_probes_pruned,
+            b.smt.lia_pivots,
+            b.smt.lia_gave_up,
             b.discharged,
             b.solve_ns / 1_000,
         )
