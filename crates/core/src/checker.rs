@@ -8,7 +8,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rsc_liquid::{
-    bundle_fingerprint, global_fingerprint, partition, solve_with, Blame, CEnv, ConstraintBundle,
+    bundle_fingerprint, global_fingerprint, partition, solve, Blame, CEnv, ConstraintBundle,
     ConstraintSet, LiquidResult, ObligationKind,
 };
 use rsc_logic::{CmpOp, Pred, Sort, SortScope, Subst, Sym, Term};
@@ -38,18 +38,10 @@ pub struct CheckerOptions {
     /// Share a canonicalizing VC cache across narrowing checks and all
     /// bundle solvers (the `no_vc_cache` ablation turns this off).
     pub vc_cache: bool,
-    /// Maximum canonical-VC entries retained by the cache. `0` means
-    /// auto: the `RSC_CACHE_CAP` environment variable if set, otherwise
-    /// unbounded. Bounding matters for long-lived sessions — see
-    /// `rsc_smt::VcCache`'s generation-count LRU eviction.
+    /// Maximum canonical-VC entries retained by the cache (`0` =
+    /// unbounded; CLI: `--cache-cap`). Bounding matters for long-lived
+    /// sessions — see `rsc_smt::VcCache`'s generation-count LRU eviction.
     pub cache_capacity: usize,
-    /// Keep one persistent SMT context per κ-headed constraint during
-    /// the fixpoint (`rsc_smt::IncrContext`), so weakening iterations
-    /// re-solve deltas under activation literals instead of re-encoding
-    /// from scratch. Verdict- and diagnostic-preserving; off is the
-    /// fresh-encoder reference path the equivalence tests compare
-    /// against (`--no-incremental-smt`).
-    pub incremental_smt: bool,
     /// Run the dataflow lint pass (`rsc_absint`, `L0001`–`L0004`) and
     /// surface findings as warning diagnostics in [`CheckResult::lints`].
     /// Lints never affect the error stream or the check verdict.
@@ -65,7 +57,6 @@ impl Default for CheckerOptions {
             jobs: 0,
             vc_cache: true,
             cache_capacity: 0,
-            incremental_smt: true,
             lints: true,
         }
     }
@@ -96,22 +87,9 @@ impl CheckerOptions {
             .min(8)
     }
 
-    /// Resolves `cache_capacity` to a concrete entry cap (`0` =
-    /// unbounded), honoring `RSC_CACHE_CAP` when the option is unset.
+    /// The VC-cache entry cap (`0` = unbounded): `cache_capacity`.
     pub fn effective_cache_capacity(&self) -> usize {
-        if self.cache_capacity > 0 {
-            return self.cache_capacity;
-        }
-        if let Ok(v) = std::env::var("RSC_CACHE_CAP") {
-            match v.parse::<usize>() {
-                Ok(n) => return n,
-                Err(_) => eprintln!(
-                    "rsc: ignoring invalid RSC_CACHE_CAP={v:?} (expected a non-negative \
-                     integer); cache is unbounded"
-                ),
-            }
-        }
-        0
+        self.cache_capacity
     }
 }
 
@@ -527,9 +505,6 @@ pub fn solve_artifacts(
     let jobs = opts.effective_jobs();
     let cache = &vc_cache;
     let use_cache = opts.vc_cache;
-    let solve_opts = rsc_liquid::SolveOptions {
-        incremental: opts.incremental_smt,
-    };
     let to_solve: Vec<usize> = (0..bundles.len())
         .filter(|i| retained[*i].is_none())
         .collect();
@@ -553,7 +528,7 @@ pub fn solve_artifacts(
                     } else {
                         rsc_smt::Solver::new()
                     };
-                    let result = solve_with(&b.cs, &mut smt, solve_opts);
+                    let result = solve(&b.cs, &mut smt);
                     let solve_ns = started.elapsed().as_nanos() as u64;
                     // Per-bundle counters: take (and thereby reset)
                     // rather than reading cumulative totals.

@@ -105,7 +105,7 @@ impl CheckSession {
     /// A fresh session checking with `opts`. The options are fixed for
     /// the session's lifetime (retained verdicts are only valid under
     /// the options that produced them). The session's cross-run VC cache
-    /// honors `opts.cache_capacity` / `RSC_CACHE_CAP`, which is what
+    /// honors `opts.cache_capacity` (`--cache-cap`), which is what
     /// keeps week-long sessions at a flat memory footprint.
     pub fn new(opts: CheckerOptions) -> CheckSession {
         CheckSession::with_cache(

@@ -29,4 +29,4 @@ pub use blame::{Blame, ObligationKind};
 pub use bundle::{partition, ConstraintBundle};
 pub use constraint::{CEnv, ConstraintSet, SubC};
 pub use fingerprint::{bundle_fingerprint, global_fingerprint};
-pub use solve::{filter_relevant, solve, solve_with, LiquidResult, Solution, SolveOptions};
+pub use solve::{filter_relevant, solve, LiquidResult, Solution};

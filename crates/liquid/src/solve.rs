@@ -2,32 +2,26 @@
 //! κ to all well-sorted qualifier instantiations, iteratively weaken until
 //! every κ-headed constraint is valid, then check concrete constraints.
 //!
-//! Two cold-path optimizations keep the solver off the critical path
-//! without changing any verdict or diagnostic:
-//!
-//! * **Constraint memoization.** The round-robin weakening loop re-checks
-//!   every κ-headed constraint each iteration, but a re-check can only
-//!   change the outcome if some κ it *depends on* (a κ in its environment,
-//!   left-hand side, guards — or its own head, the candidate source) was
-//!   weakened since its last check. Each κ carries a version counter,
-//!   bumped on every weakening; a constraint whose dependency versions
-//!   match its last-checked snapshot is skipped. The skipped re-check
-//!   would have issued exactly the queries of the previous check (the
-//!   solver is deterministic), kept every candidate, and left `changed`
-//!   untouched, so the iteration trajectory — and with it every
-//!   diagnostic — is byte-identical; only the redundant SMT queries
-//!   disappear.
-//! * **Incremental SMT.** Each κ-headed constraint keeps one persistent
-//!   [`IncrContext`]: its hypotheses and candidate goals are encoded once
-//!   under activation literals, and each weakening iteration re-solves
-//!   the delta under assumptions instead of re-encoding the whole query
-//!   (see `rsc_smt::incr`). Disable with
-//!   [`SolveOptions::incremental`] = `false` (CLI: `--no-incremental-smt`).
+//! Every validity question goes to one [`Solver::is_valid`] call, which
+//! answers it with one theory check, from the VC cache, or by a fresh
+//! DPLL(T) run. **Constraint memoization** keeps redundant questions
+//! from being asked at all. The round-robin weakening loop re-checks
+//! every κ-headed constraint each iteration, but a re-check can only
+//! change the outcome if some κ it *depends on* (a κ in its environment,
+//! left-hand side, guards — or its own head, the candidate source) was
+//! weakened since its last check. Each κ carries a version counter,
+//! bumped on every weakening; a constraint whose dependency versions
+//! match its last-checked snapshot is skipped. The skipped re-check
+//! would have issued exactly the queries of the previous check (the
+//! solver is deterministic), kept every candidate, and left `changed`
+//! untouched, so the iteration trajectory — and with it every
+//! diagnostic — is byte-identical; only the redundant SMT queries
+//! disappear.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use rsc_logic::{KVarId, Pred, Sort, SortScope, Sym, Term};
-use rsc_smt::{IncrContext, Solver};
+use rsc_smt::Solver;
 
 use crate::blame::Blame;
 use crate::constraint::{ConstraintSet, SubC};
@@ -80,31 +74,6 @@ pub struct LiquidResult {
     pub discharged: u64,
 }
 
-/// Tuning knobs for [`solve_with`]. Copy-cheap so callers can thread it
-/// through per-bundle solver setup.
-#[derive(Clone, Copy, Debug)]
-pub struct SolveOptions {
-    /// Use a persistent incremental SMT context per κ-headed constraint
-    /// (default). When `false`, every validity query runs on a fresh
-    /// encoder — the reference path the differential tests compare
-    /// against.
-    pub incremental: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions { incremental: true }
-    }
-}
-
-/// Solves the constraint set with default options: incremental SMT
-/// contexts on. Every validity question goes to `smt`, whose
-/// theory-only path answers literal conjunctions before the VC cache
-/// and DPLL(T) see them.
-pub fn solve(cs: &ConstraintSet, smt: &mut Solver) -> LiquidResult {
-    solve_with(cs, smt, SolveOptions::default())
-}
-
 /// Every κ a constraint's verdict depends on: κs in the environment
 /// bindings, guards and left-hand side (they shape the hypotheses) plus
 /// the head κ itself (the candidate source).
@@ -141,8 +110,10 @@ fn prefilter_applies(
             .all(|(x, _)| x.as_str() != "v" && !x.as_str().starts_with('★'))
 }
 
-/// Solves the constraint set.
-pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> LiquidResult {
+/// Solves the constraint set. Every validity question goes to `smt`,
+/// whose theory-only path answers literal conjunctions and unencodable
+/// queries before the VC cache and DPLL(T) see them.
+pub fn solve(cs: &ConstraintSet, smt: &mut Solver) -> LiquidResult {
     // --- Initial assignment -------------------------------------------------
     let mut sol = Solution::default();
     for (id, kv) in &cs.kvars {
@@ -218,11 +189,6 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
         .map(|&ci| (ci, constraint_deps(&cs.subs[ci])))
         .collect();
     let mut last_checked: HashMap<usize, Vec<u64>> = HashMap::new();
-    // One persistent incremental context per κ-headed constraint. The
-    // constraint's binder overlay (its scope + `v`) is fixed across
-    // iterations, which is exactly the context-reuse invariant
-    // `rsc_smt::incr` requires.
-    let mut ctxs: HashMap<usize, IncrContext> = HashMap::new();
     let mut iteration = 0u64;
     loop {
         let _sp = rsc_obs::span!("fixpoint-iter", unit = iteration);
@@ -273,13 +239,7 @@ pub fn solve_with(cs: &ConstraintSet, smt: &mut Solver, opts: SolveOptions) -> L
                     .collect();
                 hyps.extend(guards.iter().cloned());
                 questions += 1;
-                let valid = if opts.incremental {
-                    let ctx = ctxs.entry(ci).or_default();
-                    smt.is_valid_ctx(ctx, &env_sorts, &hyps, &goal)
-                } else {
-                    smt.is_valid(&env_sorts, &hyps, &goal)
-                };
-                if valid {
+                if smt.is_valid(&env_sorts, &hyps, &goal) {
                     kept.push(q);
                 } else {
                     if std::env::var("RSC_DEBUG").is_ok() {
@@ -493,33 +453,6 @@ mod tests {
         assert!(
             shown.contains(&"0 <= v".to_string()),
             "κ should keep Nat, got {shown:?}"
-        );
-    }
-
-    /// The incremental and fresh-solver paths must agree on the solution,
-    /// the failures, and even the query count (memoization is independent
-    /// of the solving backend).
-    #[test]
-    fn incremental_matches_fresh_path() {
-        let (cs, k) = counter_constraints();
-        let mut smt_a = Solver::new();
-        let a = solve_with(&cs, &mut smt_a, SolveOptions { incremental: true });
-        let mut smt_b = Solver::new();
-        let b = solve_with(&cs, &mut smt_b, SolveOptions { incremental: false });
-        let show = |r: &LiquidResult| {
-            r.solution
-                .of(k)
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(show(&a), show(&b));
-        assert_eq!(a.failures.len(), b.failures.len());
-        assert_eq!(a.smt_queries, b.smt_queries);
-        assert_eq!(a.discharged, b.discharged);
-        assert!(
-            a.discharged > 0,
-            "the solver's theory-only path answers some"
         );
     }
 

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use crate::atom::BvTerm;
-use crate::cnf::ClauseSink;
+use crate::cnf::CnfStore;
 use crate::node::NodeId;
 use crate::sat::Lit;
 
@@ -24,7 +24,7 @@ pub enum Bit {
     L(Lit),
 }
 
-/// Blasts bit-vector terms into an underlying [`ClauseSink`], caching the 32
+/// Blasts bit-vector terms into a [`CnfStore`], caching the 32
 /// fresh variables allocated for each opaque node slot.
 #[derive(Default)]
 pub struct Blaster {
@@ -37,7 +37,7 @@ impl Blaster {
         Blaster::default()
     }
 
-    fn slot_bits(&mut self, n: NodeId, cnf: &mut impl ClauseSink) -> Vec<Bit> {
+    fn slot_bits(&mut self, n: NodeId, cnf: &mut CnfStore) -> Vec<Bit> {
         self.slots
             .entry(n)
             .or_insert_with(|| {
@@ -49,7 +49,7 @@ impl Blaster {
     }
 
     /// The 32 bits of `t`, least significant first.
-    pub fn bits(&mut self, t: &BvTerm, cnf: &mut impl ClauseSink) -> Vec<Bit> {
+    pub fn bits(&mut self, t: &BvTerm, cnf: &mut CnfStore) -> Vec<Bit> {
         match t {
             BvTerm::Const(c) => (0..WIDTH).map(|i| Bit::Const(c >> i & 1 == 1)).collect(),
             BvTerm::Node(n) => self.slot_bits(*n, cnf),
@@ -81,7 +81,7 @@ impl Blaster {
     }
 
     /// Returns a SAT literal equivalent to `a = b`, adding defining clauses.
-    pub fn eq_lit(&mut self, a: &BvTerm, b: &BvTerm, cnf: &mut impl ClauseSink) -> Lit {
+    pub fn eq_lit(&mut self, a: &BvTerm, b: &BvTerm, cnf: &mut CnfStore) -> Lit {
         let ba = self.bits(a, cnf);
         let bb = self.bits(b, cnf);
         let mut bit_eqs: Vec<Bit> = Vec::with_capacity(WIDTH);
@@ -93,7 +93,7 @@ impl Blaster {
     }
 }
 
-fn and_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn and_bit(a: Bit, b: Bit, cnf: &mut CnfStore) -> Bit {
     match (a, b) {
         (Bit::Const(false), _) | (_, Bit::Const(false)) => Bit::Const(false),
         (Bit::Const(true), x) | (x, Bit::Const(true)) => x,
@@ -107,7 +107,7 @@ fn and_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn or_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn or_bit(a: Bit, b: Bit, cnf: &mut CnfStore) -> Bit {
     match (a, b) {
         (Bit::Const(true), _) | (_, Bit::Const(true)) => Bit::Const(true),
         (Bit::Const(false), x) | (x, Bit::Const(false)) => x,
@@ -121,7 +121,7 @@ fn or_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn xnor_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
+fn xnor_bit(a: Bit, b: Bit, cnf: &mut CnfStore) -> Bit {
     match (a, b) {
         (Bit::Const(x), Bit::Const(y)) => Bit::Const(x == y),
         (Bit::Const(true), x) | (x, Bit::Const(true)) => x,
@@ -138,7 +138,7 @@ fn xnor_bit(a: Bit, b: Bit, cnf: &mut impl ClauseSink) -> Bit {
     }
 }
 
-fn and_all(bits: &[Bit], cnf: &mut impl ClauseSink) -> Lit {
+fn and_all(bits: &[Bit], cnf: &mut CnfStore) -> Lit {
     if bits.contains(&Bit::Const(false)) {
         // Represent constant false with a fresh var forced false.
         let v = Lit::pos(cnf.new_var());
@@ -173,7 +173,6 @@ fn and_all(bits: &[Bit], cnf: &mut impl ClauseSink) -> Lit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::CnfStore;
     use crate::sat::SatOutcome;
 
     fn assert_valid_bv(build: impl Fn(&mut Blaster, &mut CnfStore) -> Lit) {

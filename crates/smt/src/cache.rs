@@ -97,7 +97,7 @@ impl CacheCounters {
 /// Long-lived incremental sessions share one cache across every
 /// re-check, so an unbounded cache grows for the life of the session.
 /// With a capacity set ([`VcCache::with_capacity`],
-/// `CheckerOptions::cache_capacity`, `RSC_CACHE_CAP`), every entry
+/// `CheckerOptions::cache_capacity`, `--cache-cap`), every entry
 /// carries the global *generation* (a counter bumped on each probe and
 /// record) at which it was last touched; when a shard exceeds its slice
 /// of the capacity, the oldest-generation entries are evicted. Evicting
@@ -453,7 +453,7 @@ pub struct DiskCache {
 /// changes the meaning of a canonical VC fingerprint or the solver
 /// counters a retained bundle verdict carries. Part of every
 /// [`DiskCache`] and bundle-store version hash.
-pub const ENCODER_VERSION: u64 = 3;
+pub const ENCODER_VERSION: u64 = 4;
 
 const DISK_MAGIC: &str = "rsc-vc-cache v1";
 

@@ -1,41 +1,12 @@
 //! A clause store with Tseitin transformation from [`Formula`]s.
+//!
+//! [`CnfStore`] is the one clause target of the solver: the Tseitin
+//! transform and the bit-blaster ([`crate::bv`]) write a query's clauses
+//! into it, the DPLL(T) driver adds theory blocking clauses, and each
+//! round solves the whole store with a fresh [`SatSolver`].
 
 use crate::atom::{AtomId, Formula};
 use crate::sat::{Lit, SatOutcome, SatSolver, Var};
-
-/// Anything that can allocate SAT variables and accept clauses.
-///
-/// The Tseitin transform and the bit-blaster are generic over this, so
-/// they can target either a [`CnfStore`] (the fresh-per-query solving
-/// path, which re-runs CDCL from scratch each round) or a [`SatSolver`]
-/// directly (the persistent incremental context in [`crate::incr`],
-/// which encodes once and re-solves under assumptions).
-pub trait ClauseSink {
-    /// Allocates a fresh variable.
-    fn new_var(&mut self) -> Var;
-    /// Adds a clause.
-    fn add_clause(&mut self, lits: Vec<Lit>);
-}
-
-impl ClauseSink for CnfStore {
-    fn new_var(&mut self) -> Var {
-        CnfStore::new_var(self)
-    }
-
-    fn add_clause(&mut self, lits: Vec<Lit>) {
-        CnfStore::add_clause(self, lits)
-    }
-}
-
-impl ClauseSink for SatSolver {
-    fn new_var(&mut self) -> Var {
-        SatSolver::new_var(self)
-    }
-
-    fn add_clause(&mut self, lits: Vec<Lit>) {
-        SatSolver::add_clause(self, lits)
-    }
-}
 
 /// A persistent store of CNF clauses. The DPLL(T) driver accumulates
 /// blocking clauses here and re-solves from scratch each round (VCs are
@@ -91,14 +62,9 @@ impl CnfStore {
 /// [`Formula::simplify`]) and returns a literal equivalent to `f`.
 ///
 /// `atom_lit` maps an atom with polarity to its SAT literal. The
-/// definitional clauses are bidirectional (`o ↔ …`), so the fresh
-/// variables are fully defined by their inputs: adding them unasserted
-/// to a persistent context never constrains the context.
-pub fn tseitin(
-    f: &Formula,
-    atom_lit: &impl Fn(AtomId, bool) -> Lit,
-    cnf: &mut impl ClauseSink,
-) -> Lit {
+/// definitional clauses are bidirectional (`o ↔ …`), so each fresh
+/// variable is fully defined by its inputs.
+pub fn tseitin(f: &Formula, atom_lit: &impl Fn(AtomId, bool) -> Lit, cnf: &mut CnfStore) -> Lit {
     match f {
         Formula::Const(_) => panic!("tseitin: simplify the formula first"),
         Formula::Lit(a, pol) => atom_lit(*a, *pol),

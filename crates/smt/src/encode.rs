@@ -23,11 +23,10 @@ impl std::fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-/// Owned encoder state: arena, atom table, and the defining equations of
-/// lifted nodes (compound integer expressions in uninterpreted argument
-/// position). Separate from the [`Encoder`] view so a persistent
-/// incremental context ([`crate::incr`]) can keep the state alive across
-/// queries while the (borrowed) sort environment is supplied per call.
+/// Owned encoder state of one query: arena, atom table, and the defining
+/// equations of lifted nodes (compound integer expressions in
+/// uninterpreted argument position). The solver reads it after encoding
+/// through the borrowing [`Encoder`] view.
 pub struct EncoderState {
     /// The term arena.
     pub arena: Arena,
@@ -36,10 +35,6 @@ pub struct EncoderState {
     atom_map: HashMap<AtomData, AtomId>,
     /// Defining equations (`e = 0`) asserted in every theory check.
     pub defs: Vec<NLinExp>,
-    /// The lifted node each entry of `defs` defines (parallel to `defs`):
-    /// lets a scoped theory check select exactly the definitions whose
-    /// lifted node is reachable from the query.
-    pub def_nodes: Vec<NodeId>,
     lifted_cache: HashMap<NLinExp, NodeId>,
     /// The arena node for `true`.
     pub true_node: NodeId,
@@ -58,7 +53,6 @@ impl EncoderState {
             atoms: Vec::new(),
             atom_map: HashMap::new(),
             defs: Vec::new(),
-            def_nodes: Vec::new(),
             lifted_cache: HashMap::new(),
             true_node,
             false_node,
@@ -397,7 +391,6 @@ impl<'a> Encoder<'a> {
         let mut def = l.clone();
         def.add_term(fresh, -1);
         self.st.defs.push(def);
-        self.st.def_nodes.push(fresh);
         self.st.lifted_cache.insert(l, fresh);
         Ok(fresh)
     }

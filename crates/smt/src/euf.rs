@@ -71,7 +71,7 @@ impl<'a> Euf<'a> {
     }
 
     /// Runs the congruence fixpoint and checks consistency over the whole
-    /// arena (the fresh-per-query path, where the arena *is* the query).
+    /// arena.
     pub fn close(&mut self) -> EufResult {
         let apps: Vec<NodeId> = self
             .arena
@@ -79,19 +79,12 @@ impl<'a> Euf<'a> {
             .filter(|(_, n)| matches!(n, Node::App(..)))
             .map(|(id, _)| id)
             .collect();
-        self.close_over(&apps, None)
+        self.close_over(&apps)
     }
 
-    /// Runs the congruence fixpoint restricted to `apps` (the application
-    /// nodes that can participate in a congruence) and checks consistency
-    /// against the constants of `const_scan` (`None` scans the whole
-    /// arena). A persistent incremental context shares one arena across
-    /// many queries; passing the current query's subterm closure here
-    /// makes the quadratic fixpoint quadratic in the *query*, not in
-    /// everything the context ever encoded — and since merges only ever
-    /// start from the query's own assertions, out-of-scope nodes stay in
-    /// singleton classes and cannot contribute a conflict anyway.
-    pub fn close_over(&mut self, apps: &[NodeId], const_scan: Option<&[NodeId]>) -> EufResult {
+    /// [`Euf::close`] with the arena's application nodes (the only nodes
+    /// that can participate in a congruence) already collected in `apps`.
+    pub fn close_over(&mut self, apps: &[NodeId]) -> EufResult {
         loop {
             let mut changed = false;
             for i in 0..apps.len() {
@@ -123,30 +116,14 @@ impl<'a> Euf<'a> {
         // Distinct-constant conflicts.
         let n = self.arena.len();
         let mut class_const: Vec<Option<ConstKind>> = vec![None; n];
-        let mut scan_one = |this: &mut Self, id: NodeId| -> bool {
-            if let Some(c) = this.arena.const_kind(id) {
-                let r = this.find(id).0 as usize;
+        for i in 0..n {
+            let id = NodeId(i as u32);
+            if let Some(c) = self.arena.const_kind(id) {
+                let r = self.find(id).0 as usize;
                 match &class_const[r] {
                     None => class_const[r] = Some(c),
-                    Some(c0) if *c0 != c => return false,
+                    Some(c0) if *c0 != c => return EufResult::Conflict,
                     _ => {}
-                }
-            }
-            true
-        };
-        match const_scan {
-            Some(ids) => {
-                for &id in ids {
-                    if !scan_one(self, id) {
-                        return EufResult::Conflict;
-                    }
-                }
-            }
-            None => {
-                for i in 0..n {
-                    if !scan_one(self, NodeId(i as u32)) {
-                        return EufResult::Conflict;
-                    }
                 }
             }
         }

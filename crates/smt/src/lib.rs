@@ -22,6 +22,12 @@
 //!   pruned and the rest are probed on the live simplex tableau,
 //! * [`solver`] — the lazy DPLL(T) driver exposing [`Solver::is_valid`].
 //!
+//! Every validity query takes one path: a single theory check over its
+//! literal conjuncts (which also answers queries that fail to encode),
+//! then the shared VC [`cache`], then a fresh encoding solved by DPLL(T),
+//! where each round re-solves the query's clauses with a new SAT
+//! instance.
+//!
 //! Soundness contract: the only answer verification relies on is
 //! [`SatResult::Unsat`], and every resource cap or incompleteness in the
 //! solver errs toward `Sat`/`Unknown`, i.e. toward *rejecting* programs.
@@ -37,7 +43,6 @@ pub mod cache;
 pub mod cnf;
 pub mod encode;
 pub mod euf;
-pub mod incr;
 pub mod lia;
 pub mod node;
 pub mod sat;
@@ -45,5 +50,4 @@ pub mod solver;
 pub mod theory;
 
 pub use cache::{canonical_query, CacheCounters, CanonicalQuery, DiskCache, VcCache};
-pub use incr::IncrContext;
 pub use solver::{SatResult, Solver, SolverStats};

@@ -1,14 +1,10 @@
 //! A compact CDCL SAT solver: two-watched literals, first-UIP clause
 //! learning, VSIDS-style activities and phase saving.
 //!
-//! The solver is deliberately small but complete. It supports
-//! MiniSat-style *solve under assumptions* ([`SatSolver::solve_under`]):
-//! assumption literals are established as pseudo-decisions below any
-//! real decision, so learnt clauses are implied by the clause database
-//! alone and are retained across calls — the foundation of the
-//! persistent per-constraint contexts in [`crate::incr`]. The
-//! fresh-per-query DPLL(T) driver in [`crate::solver`] still re-solves
-//! from scratch after adding theory blocking clauses.
+//! The solver is deliberately small but complete. Each DPLL(T) round in
+//! [`crate::solver`] builds a fresh instance from the query's
+//! [`crate::cnf::CnfStore`] (its Tseitin clauses plus the theory
+//! blocking clauses so far) and calls [`SatSolver::solve`] once.
 
 use std::fmt;
 
@@ -379,28 +375,6 @@ impl SatSolver {
 
     /// Solves the current clause set.
     pub fn solve(&mut self) -> SatOutcome {
-        self.solve_under(&[])
-    }
-
-    /// True once the clause set itself (no assumptions) has been proven
-    /// unsatisfiable; every later call answers `Unsat` immediately.
-    pub fn is_unsat(&self) -> bool {
-        self.unsat
-    }
-
-    /// Solves the current clause set under temporary assumption literals.
-    ///
-    /// Each assumption is established as a pseudo-decision owning one
-    /// decision level (a dummy level when already implied), below every
-    /// real decision. Conflict analysis therefore never resolves on an
-    /// assumption *as a clause*: learnt clauses — including learnt units
-    /// enqueued at level zero — are implied by the clause database alone
-    /// and are sound to retain across calls. An assumption found false
-    /// under its predecessors yields `Unsat` *for this call only*: the
-    /// solver backtracks to level zero and stays usable, without marking
-    /// the instance globally unsatisfiable. A conflict at level zero, by
-    /// contrast, involves no assumptions and is recorded permanently.
-    pub fn solve_under(&mut self, assumptions: &[Lit]) -> SatOutcome {
         if self.unsat {
             return SatOutcome::Unsat;
         }
@@ -428,26 +402,6 @@ impl SatSolver {
                         self.watches[learnt[1].negate().index()].push(idx);
                         self.clauses.push(learnt);
                         self.enqueue(asserting, idx);
-                    }
-                }
-                None if self.trail_lim.len() < assumptions.len() => {
-                    let p = assumptions[self.trail_lim.len()];
-                    match self.value(p) {
-                        Some(true) => {
-                            // Already implied: a dummy level keeps the
-                            // level ↔ assumption correspondence.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        Some(false) => {
-                            // False under the earlier assumptions (or at
-                            // level zero): Unsat under assumptions only.
-                            self.backtrack(0);
-                            return SatOutcome::Unsat;
-                        }
-                        None => {
-                            self.trail_lim.push(self.trail.len());
-                            self.enqueue(p, REASON_NONE);
-                        }
                     }
                 }
                 None => match self.decide() {
@@ -574,81 +528,6 @@ mod tests {
         false
     }
 
-    #[test]
-    fn assumptions_do_not_poison_the_instance() {
-        // (a ∨ b) with assumption ¬a ∧ ¬b is Unsat under assumptions,
-        // but the instance itself stays satisfiable afterwards.
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(vec![Lit::pos(a), Lit::pos(b)]);
-        assert_eq!(
-            s.solve_under(&[Lit::neg(a), Lit::neg(b)]),
-            SatOutcome::Unsat
-        );
-        assert!(
-            !s.is_unsat(),
-            "assumption conflict must not set global unsat"
-        );
-        match s.solve_under(&[Lit::neg(a)]) {
-            SatOutcome::Sat(m) => assert!(!m[a as usize] && m[b as usize]),
-            SatOutcome::Unsat => panic!("expected sat under ¬a"),
-        }
-        match s.solve() {
-            SatOutcome::Sat(m) => assert!(m[a as usize] || m[b as usize]),
-            SatOutcome::Unsat => panic!("expected sat with no assumptions"),
-        }
-    }
-
-    #[test]
-    fn assumptions_already_implied_and_contradictory() {
-        let mut s = SatSolver::new();
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(vec![Lit::pos(a)]); // unit: a is true at level 0
-                                         // Assuming a (already implied, dummy level) plus b works.
-        assert!(matches!(
-            s.solve_under(&[Lit::pos(a), Lit::pos(b)]),
-            SatOutcome::Sat(_)
-        ));
-        // Assuming ¬a conflicts with the level-0 unit: Unsat under
-        // assumptions, but not globally.
-        assert_eq!(s.solve_under(&[Lit::neg(a)]), SatOutcome::Unsat);
-        assert!(!s.is_unsat());
-        // Directly contradictory assumptions.
-        assert_eq!(
-            s.solve_under(&[Lit::pos(b), Lit::neg(b)]),
-            SatOutcome::Unsat
-        );
-        assert!(!s.is_unsat());
-        assert!(matches!(s.solve(), SatOutcome::Sat(_)));
-    }
-
-    #[test]
-    fn clauses_addable_between_solve_under_calls() {
-        // Interleave adds and assumption solves: the activation-literal
-        // lifecycle of the incremental context in miniature.
-        let mut s = SatSolver::new();
-        let act1 = s.new_var();
-        let x = s.new_var();
-        s.add_clause(vec![Lit::neg(act1), Lit::pos(x)]); // act1 -> x
-        assert!(matches!(
-            s.solve_under(&[Lit::pos(act1)]),
-            SatOutcome::Sat(_)
-        ));
-        let act2 = s.new_var();
-        s.add_clause(vec![Lit::neg(act2), Lit::neg(x)]); // act2 -> ¬x
-        assert_eq!(
-            s.solve_under(&[Lit::pos(act1), Lit::pos(act2)]),
-            SatOutcome::Unsat
-        );
-        assert!(!s.is_unsat());
-        assert!(matches!(
-            s.solve_under(&[Lit::pos(act2)]),
-            SatOutcome::Sat(_)
-        ));
-    }
-
     use proptest::prelude::*;
 
     proptest::proptest! {
@@ -671,57 +550,6 @@ mod tests {
                     prop_assert!(check_model(&clauses, &m), "model does not satisfy clauses");
                 }
                 SatOutcome::Unsat => prop_assert!(!expect_sat, "solver said UNSAT, brute force says SAT"),
-            }
-        }
-
-        /// One persistent solver, a sequence of assumption sets: every
-        /// answer must match brute force on clauses + assumptions-as-units,
-        /// and retained learnt clauses must never change later answers.
-        #[test]
-        fn solve_under_agrees_with_brute_force(
-            clauses in proptest::collection::vec(
-                proptest::collection::vec(
-                    (-6i32..=6).prop_filter("nonzero", |x| *x != 0),
-                    1..4,
-                ),
-                0..14,
-            ),
-            assumption_sets in proptest::collection::vec(
-                proptest::collection::vec(
-                    (-6i32..=6).prop_filter("nonzero", |x| *x != 0),
-                    0..4,
-                ),
-                1..5,
-            )
-        ) {
-            let nvars = 6;
-            let mut s = SatSolver::new();
-            for _ in 0..nvars {
-                s.new_var();
-            }
-            for c in &clauses {
-                s.add_clause(c.iter().map(|&i| lit(i)).collect());
-            }
-            for assumptions in &assumption_sets {
-                let mut with_units = clauses.clone();
-                with_units.extend(assumptions.iter().map(|&i| vec![i]));
-                let expect_sat = brute(nvars, &with_units);
-                let lits: Vec<Lit> = assumptions.iter().map(|&i| lit(i)).collect();
-                match s.solve_under(&lits) {
-                    SatOutcome::Sat(m) => {
-                        prop_assert!(expect_sat, "SAT under {assumptions:?}, brute says UNSAT");
-                        prop_assert!(check_model(&with_units, &m));
-                    }
-                    SatOutcome::Unsat => {
-                        prop_assert!(!expect_sat, "UNSAT under {assumptions:?}, brute says SAT");
-                    }
-                }
-                if s.is_unsat() {
-                    prop_assert!(
-                        !brute(nvars, &clauses),
-                        "global unsat flag set on a satisfiable base instance"
-                    );
-                }
             }
         }
     }

@@ -27,10 +27,11 @@ pub enum SatResult {
 
 /// Per-solver statistics.
 ///
-/// A validity query is answered either by the *theory-only* check
-/// (`theory_only`) or by the cache/DPLL(T) path (`cache_hits` or
-/// `queries`), so `theory_only + cache_hits + cache_misses` is the
-/// number of validity questions asked of a cache-attached solver.
+/// A validity query is answered by the *theory-only* check
+/// (`theory_only`), from the cache (`cache_hits`), or counts as a
+/// DPLL(T) query (`queries`: cache misses and queries that fail to
+/// encode), so `theory_only + cache_hits + queries` is the number of
+/// validity questions asked.
 ///
 /// Counters accumulate from the last [`SolverStats::reset`] (or solver
 /// creation). Callers that report per-unit numbers — e.g. the parallel
@@ -39,8 +40,9 @@ pub enum SatResult {
 /// counters and mis-attributed all prior queries to the last unit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Number of satisfiability queries actually solved by DPLL(T)
-    /// (cache hits and theory-only answers are counted separately).
+    /// Number of satisfiability queries that took the DPLL(T) path,
+    /// including those that failed to encode and were answered before
+    /// it (cache hits and theory-only answers are counted separately).
     pub queries: u64,
     /// Validity queries answered by one theory check over their literal
     /// conjuncts, without Tseitin, SAT or the VC cache.
@@ -319,9 +321,15 @@ impl Solver {
     ///   first model is exactly this assignment, so a consistent check
     ///   is the `Sat` that loop would return: *not valid*.
     ///
-    /// Anything else — an encoding error, or a consistent check with
-    /// disjunctions or unassigned atoms left — returns `None` and the
-    /// query takes the full path.
+    /// * A part that fails to encode (e.g. a variable outside the sort
+    ///   scope) makes the uncached full path fail on the same part and
+    ///   answer `Unknown`: *not valid*. Both encode the same predicates
+    ///   in the same order and polarity (`encode(¬g, true)` is
+    ///   `encode(g, false)`), so this is that path's answer; it counts as
+    ///   a DPLL(T) query, as it always has, and skips the VC cache.
+    ///
+    /// A consistent check with disjunctions or unassigned atoms left
+    /// returns `None` and the query takes the full path.
     fn theory_only(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> Option<bool> {
         let mut st = EncoderState::new();
         let mut enc = Encoder::over(env, &mut st);
@@ -332,7 +340,11 @@ impl Solver {
             Some(r)
         };
         for (p, pol) in hyps.iter().map(|h| (h, true)).chain([(goal, false)]) {
-            match enc.encode_pred(p, pol).ok()?.simplify() {
+            let Ok(f) = enc.encode_pred(p, pol) else {
+                self.stats.queries += 1;
+                return Some(false);
+            };
+            match f.simplify() {
                 Formula::Const(true) => {}
                 Formula::Const(false) => return answer(&mut self.stats, true),
                 Formula::Lit(a, pol) => lits.push((a, pol)),
@@ -382,10 +394,11 @@ impl Solver {
     /// proven unsatisfiable (Unknown answers count as *not valid*, the
     /// conservative direction for verification).
     ///
-    /// The theory-only path answers literal conjunctions first. With a
-    /// [`VcCache`] attached, the remaining queries are canonicalized;
-    /// cached Unsat fingerprints answer without solving, and misses
-    /// solve the canonical form and memoize an Unsat outcome.
+    /// The theory-only path answers literal conjunctions and
+    /// unencodable queries first. With a [`VcCache`] attached, the
+    /// remaining queries are canonicalized; cached Unsat fingerprints
+    /// answer without solving, and misses solve the canonical form and
+    /// memoize an Unsat outcome.
     pub fn is_valid(&mut self, env: &dyn SortLookup, hyps: &[Pred], goal: &Pred) -> bool {
         let _sp = rsc_obs::span!("smt-query");
         if let Some(r) = self.theory_only(env, hyps, goal) {
@@ -423,57 +436,6 @@ impl Solver {
             self.stats.valid += 1;
         }
         r
-    }
-
-    /// Like [`Solver::is_valid`], but solving inside the persistent
-    /// incremental context `ctx` instead of a fresh encoder/CNF. The
-    /// theory-only path still runs first, on a fresh encoding.
-    ///
-    /// The context caches the encoding of every hypothesis and goal it
-    /// has seen under activation literals, so repeated queries over the
-    /// same constraint (the fixpoint weakening loop) re-solve only the
-    /// delta. With a [`VcCache`] attached, the canonical fingerprint is
-    /// probed first; on a miss the *original* query form is solved — the
-    /// canonical α-renamed form would defeat context reuse — and an
-    /// Unsat verdict is recorded under the canonical key. Both forms
-    /// refute the same conjunction, so the cached verdict is sound; they
-    /// can differ only on round-capped (`Unknown`) queries, which the
-    /// cache never stores.
-    pub fn is_valid_ctx(
-        &mut self,
-        ctx: &mut crate::incr::IncrContext,
-        env: &dyn SortLookup,
-        hyps: &[Pred],
-        goal: &Pred,
-    ) -> bool {
-        let _sp = rsc_obs::span!("smt-query");
-        if let Some(r) = self.theory_only(env, hyps, goal) {
-            return self.count_valid(r);
-        }
-        let r = match self.cache.clone() {
-            Some(cache) => {
-                let neg_goal = Pred::not(goal.clone());
-                let mut preds: Vec<&Pred> = hyps.iter().collect();
-                preds.push(&neg_goal);
-                let canonical = canonical_query_refs(env, &preds);
-                if cache.probe(&canonical.key) {
-                    self.stats.cache_hits += 1;
-                    true
-                } else {
-                    self.stats.cache_misses += 1;
-                    let unsat = ctx.query(env, hyps, goal, &mut self.stats, self.max_rounds)
-                        == SatResult::Unsat;
-                    if unsat {
-                        cache.record_unsat(canonical.key);
-                    }
-                    unsat
-                }
-            }
-            None => {
-                ctx.query(env, hyps, goal, &mut self.stats, self.max_rounds) == SatResult::Unsat
-            }
-        };
-        self.count_valid(r)
     }
 }
 
@@ -549,8 +511,7 @@ mod tests {
         let mut s = Solver::with_cache(cache.clone());
         assert!(s.is_valid(&env, &[x_cmp(CmpOp::Lt, 3)], &x_cmp(CmpOp::Le, 5)));
         assert!(!s.is_valid(&env, &[x_cmp(CmpOp::Lt, 3)], &x_cmp(CmpOp::Le, 1)));
-        let mut ctx = crate::incr::IncrContext::new();
-        assert!(s.is_valid_ctx(&mut ctx, &env, &[x_cmp(CmpOp::Eq, 2)], &x_cmp(CmpOp::Ge, 2)));
+        assert!(s.is_valid(&env, &[x_cmp(CmpOp::Eq, 2)], &x_cmp(CmpOp::Ge, 2)));
         assert_eq!(s.stats.theory_only, 3);
         assert_eq!(s.stats.valid, 2);
         assert_eq!(s.stats.queries + s.stats.sat_rounds, 0);
@@ -662,15 +623,23 @@ mod tests {
     }
 
     /// A goal that fails to encode (a variable outside the sort scope)
-    /// is never proven — not even under contradictory hypotheses — and
-    /// is left to the full path, which answers `Unknown` for it.
+    /// is never proven — not even under contradictory hypotheses. It is
+    /// answered before the VC cache, as one DPLL(T) query without a SAT
+    /// round, exactly what the uncached full path reports for it.
     #[test]
-    fn unencodable_goal_falls_through() {
+    fn unencodable_goal_is_answered_before_the_cache() {
         let env = int_env();
-        let mut s = Solver::new();
         let hyps = [x_cmp(CmpOp::Lt, 0), x_cmp(CmpOp::Ge, 0)];
         let goal = Pred::vv_eq(Term::var("unbound"));
-        assert!(!s.is_valid(&env, &hyps, &goal));
-        assert_eq!((s.stats.theory_only, s.stats.queries), (0, 1));
+        let cache = VcCache::shared();
+        let mut cached = Solver::with_cache(cache.clone());
+        let mut fresh = Solver::new();
+        for s in [&mut cached, &mut fresh] {
+            assert!(!s.is_valid(&env, &hyps, &goal));
+            assert_eq!((s.stats.theory_only, s.stats.queries), (0, 1));
+            assert_eq!(s.stats.sat_rounds, 0);
+            assert_eq!(s.stats.cache_hits + s.stats.cache_misses, 0);
+        }
+        assert!(cache.snapshot_keys().is_empty());
     }
 }

@@ -12,6 +12,10 @@
 //! one bound asserted on the tableau and retracted. At most
 //! `MAX_NO_ROUNDS` rounds run, and each visits at most
 //! `MAX_EQ_PROBE_PAIRS` pairs.
+//!
+//! Each [`check`] sees one query's own encoding (the theory-only path's
+//! literal conjuncts, or one DPLL(T) round's model), so its sweeps over
+//! the arena visit exactly that query's terms.
 
 use rsc_logic::Sort;
 
@@ -43,10 +47,7 @@ const MAX_NO_ROUNDS: usize = 6;
 /// The typical conflict involves a handful of atoms inside a large
 /// assigned set, and every probe is a full theory check — chunking
 /// reaches the kernel in `O(k log n)` checks instead of the greedy
-/// scan's `O(n)`. Both solving paths (fresh [`crate::Solver::is_sat`]
-/// and the incremental context) must minimize through this one function:
-/// the minimized core picks the blocking clause, and the paths only stay
-/// trajectory-identical because they shrink cores identically.
+/// scan's `O(n)`.
 pub fn minimize_core(
     mut core: Vec<AtomId>,
     mut check: impl FnMut(&[AtomId]) -> bool,
@@ -166,91 +167,31 @@ pub fn check(
     false_node: NodeId,
     stats: &mut SolverStats,
 ) -> TheoryVerdict {
-    check_scoped(
-        arena, atoms, defs, assign, true_node, false_node, None, None, stats,
-    )
-}
-
-/// [`check`] with an optional node scope. A persistent incremental
-/// context shares one arena across many queries; passing the subterm
-/// closure of the current query as `scope` restricts the two
-/// heuristic arena sweeps (nonlinear constant evaluation and
-/// Nelson–Oppen candidate collection) to the query's own terms, so an
-/// unrelated query's nodes can neither consume the bounded probe budget
-/// nor surface in its conflicts. `None` sweeps the whole arena — the
-/// fresh-per-query path, where the arena *is* the query's closure.
-///
-/// `assigned_hint`, when given, must list (in ascending id order) a
-/// superset of the atoms with `assign[i].is_some()`; the involved-atom
-/// sets are then derived from it instead of scanning the whole atom
-/// table. A persistent context's table holds every atom it ever encoded,
-/// and core minimization re-checks restricted assignments many times per
-/// conflict, so the full-table scans are quadratic-ish on the hot path.
-#[allow(clippy::too_many_arguments)]
-pub fn check_scoped(
-    arena: &Arena,
-    atoms: &[AtomData],
-    defs: &[NLinExp],
-    assign: &[Option<bool>],
-    true_node: NodeId,
-    false_node: NodeId,
-    scope: Option<&[NodeId]>,
-    assigned_hint: Option<&[AtomId]>,
-    stats: &mut SolverStats,
-) -> TheoryVerdict {
-    let app_nodes = |arena: &Arena| -> Vec<NodeId> {
-        match scope {
-            Some(ids) => ids
-                .iter()
-                .copied()
-                .filter(|&id| matches!(arena.node(id), Node::App(..)))
-                .collect(),
-            None => arena
-                .iter()
-                .filter(|(_, n)| matches!(n, Node::App(..)))
-                .map(|(id, _)| id)
-                .collect(),
-        }
-    };
-    let sweep: Vec<NodeId> = app_nodes(arena);
-    // Both filters preserve ascending id order, so deriving them from the
-    // (ascending) hint yields exactly what the full-table scan would.
-    let involved: Vec<AtomId> = match assigned_hint {
-        Some(ids) => ids
-            .iter()
-            .copied()
-            .filter(|id| {
-                assign[id.0 as usize].is_some()
-                    && !matches!(atoms[id.0 as usize], AtomData::BvEq(..))
-            })
-            .collect(),
-        None => atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| assign[*i].is_some() && !matches!(a, AtomData::BvEq(..)))
-            .map(|(i, _)| AtomId(i as u32))
-            .collect(),
-    };
+    let sweep: Vec<NodeId> = arena
+        .iter()
+        .filter(|(_, n)| matches!(n, Node::App(..)))
+        .map(|(id, _)| id)
+        .collect();
+    let assigned = |i: usize| assign[i].is_some();
+    let involved: Vec<AtomId> = atoms
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| assigned(*i) && !matches!(a, AtomData::BvEq(..)))
+        .map(|(i, _)| AtomId(i as u32))
+        .collect();
     // A smaller core for EUF-phase conflicts: only equality-bearing atoms.
-    let is_euf_core = |a: &AtomData| {
-        matches!(
-            a,
-            AtomData::EufEq(..) | AtomData::BoolNode(..) | AtomData::IntEq(_, Some(_))
-        )
-    };
-    let euf_core: Vec<AtomId> = match assigned_hint {
-        Some(ids) => ids
-            .iter()
-            .copied()
-            .filter(|id| assign[id.0 as usize].is_some() && is_euf_core(&atoms[id.0 as usize]))
-            .collect(),
-        None => atoms
-            .iter()
-            .enumerate()
-            .filter(|(i, a)| assign[*i].is_some() && is_euf_core(a))
-            .map(|(i, _)| AtomId(i as u32))
-            .collect(),
-    };
+    let euf_core: Vec<AtomId> = atoms
+        .iter()
+        .enumerate()
+        .filter(|(i, a)| {
+            assigned(*i)
+                && matches!(
+                    a,
+                    AtomData::EufEq(..) | AtomData::BoolNode(..) | AtomData::IntEq(_, Some(_))
+                )
+        })
+        .map(|(i, _)| AtomId(i as u32))
+        .collect();
 
     let mut extra_merges: Vec<(NodeId, NodeId)> = Vec::new();
 
@@ -286,7 +227,7 @@ pub fn check_scoped(
         for &(x, y) in &extra_merges {
             euf.merge(x, y);
         }
-        if euf.close_over(&sweep, scope) == EufResult::Conflict {
+        if euf.close_over(&sweep) == EufResult::Conflict {
             return TheoryVerdict::Conflict(if extra_merges.is_empty() {
                 euf_core.clone()
             } else {

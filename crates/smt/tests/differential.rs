@@ -10,6 +10,8 @@
 //!   exist;
 //! * cached and uncached solvers must agree on every validity verdict,
 //!   and a second probe of the same query must agree with the first;
+//! * queries that mention a variable outside the sort scope get the
+//!   uncached full path's answer with a cache attached;
 //! * on literal conjunctions (linear, `len`, reference/null equalities,
 //!   disequalities, nonlinear products) the solver's theory-only path
 //!   must answer, and agree with the full DPLL(T) path (`is_sat`).
@@ -22,7 +24,7 @@
 
 use proptest::prelude::*;
 use rsc_logic::{BinOp, CmpOp, FunSig, Pred, Sort, SortEnv, Sym, Term};
-use rsc_smt::{IncrContext, SatResult, Solver, VcCache};
+use rsc_smt::{SatResult, Solver, VcCache};
 
 // ------------------------------------------------------------ generator ---
 
@@ -464,55 +466,58 @@ proptest! {
         }
     }
 
-    /// Incremental equivalence: one persistent [`IncrContext`] answering a
-    /// whole *sequence* of queries — sharing its arena, atom table, SAT
-    /// instance, learnt clauses and blocking clauses across them — must
-    /// agree with a fresh solver on every query. Divergence is tolerated
-    /// only when a side hit the DPLL(T) round cap (an `Unknown`, i.e.
-    /// "not proven", never an unsound claim). Valid claims additionally
-    /// must survive exhaustive finite search, so a context poisoned by an
-    /// earlier query (a retained clause that is not theory-valid, a stale
-    /// activation literal) cannot slip through as a spurious proof.
+    /// Unencodable queries: a hypothesis or the goal mentions a variable
+    /// outside the sort scope. `is_valid` with a VC cache attached must
+    /// give the uncached full path's answer, `is_sat(hyps ∧ ¬goal) ==
+    /// Unsat` (normally `Unknown`, i.e. not valid; valid when an earlier
+    /// conjunct already simplified to `false`), and count the query the
+    /// way that path does.
     #[test]
-    fn incremental_context_agrees_with_fresh_solver(
-        queries in prop::collection::vec(
-            (prop::collection::vec(pred(), 0..3), pred()),
-            1..5,
-        ),
+    fn unencodable_queries_agree_with_uncached_full_path(
+        hyps in prop::collection::vec(pred(), 0..3),
+        goal in pred(),
+        unbound in (0usize..6, int_term()).prop_map(|(i, t)| {
+            Pred::cmp(CMPS[i], Term::var("unbound"), t)
+        }),
+        site in 0usize..4,
     ) {
+        let mut hyps = hyps;
+        let goal = match site {
+            0 => {
+                hyps.insert(0, unbound);
+                goal
+            }
+            1 => {
+                hyps.push(Pred::or(vec![unbound, Pred::TermPred(Term::var("p"))]));
+                goal
+            }
+            2 => unbound,
+            _ => Pred::and(vec![goal, unbound]),
+        };
         let e = env();
-        let mut ctx = IncrContext::new();
-        let mut incr = Solver::new();
-        for (hyps, goal) in &queries {
-            let mut fresh = Solver::new();
-            let fresh_v = fresh.is_valid(&e, hyps, goal);
-            let incr_v = incr.is_valid_ctx(&mut ctx, &e, hyps, goal);
-            let incr_stats = incr.stats.take();
-            let capped = fresh.stats.sat_rounds >= fresh.max_rounds() as u64
-                || incr_stats.sat_rounds >= incr.max_rounds() as u64;
-            if !capped {
-                prop_assert_eq!(
-                    fresh_v,
-                    incr_v,
-                    "incremental context diverged from fresh solver on {} under {:?}",
-                    goal,
-                    hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>()
-                );
-            }
-            if incr_v {
-                let refutation: Vec<Pred> = hyps
-                    .iter()
-                    .cloned()
-                    .chain([Pred::not(goal.clone())])
-                    .collect();
-                prop_assert!(
-                    !exists_finite_model(&refutation),
-                    "incremental context claimed valid but a finite countermodel exists for {} under {:?}",
-                    goal,
-                    hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>()
-                );
-            }
+        let mut cached = Solver::with_cache(VcCache::shared());
+        let valid = cached.is_valid(&e, &hyps, &goal);
+        let refutation: Vec<Pred> = hyps
+            .iter()
+            .cloned()
+            .chain([Pred::not(goal.clone())])
+            .collect();
+        let mut reference = Solver::new();
+        let unsat = reference.is_sat(&e, &refutation) == SatResult::Unsat;
+        if reference.stats.sat_rounds < reference.max_rounds() as u64 {
+            prop_assert_eq!(
+                valid,
+                unsat,
+                "cached is_valid disagrees with the uncached full path on {} under {:?}",
+                goal,
+                hyps.iter().map(|p| p.to_string()).collect::<Vec<_>>()
+            );
         }
+        prop_assert_eq!(
+            cached.stats.queries + cached.stats.theory_only + cached.stats.cache_hits,
+            reference.stats.queries,
+            "every query is counted once"
+        );
     }
 
     /// The theory-only path on literal conjunctions: it must answer every

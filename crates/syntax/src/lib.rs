@@ -32,7 +32,7 @@ pub mod token;
 pub mod types;
 
 pub use ast::Program;
-pub use parser::{parse_pred, parse_program, parse_type, ParseError};
+pub use parser::{parse_pred, parse_program, parse_type, ParseError, MAX_NESTING};
 pub use qualify::{demangle, module_id, qualified_name, qualify_program, ModuleEnv, QualifyError};
 pub use span::{LineCol, LineIndex, Span};
 pub use types::{AnnArg, AnnTy, FunTy, Mutability};

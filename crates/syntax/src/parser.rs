@@ -28,6 +28,19 @@ impl std::error::Error for ParseError {}
 
 type PResult<T> = Result<T, ParseError>;
 
+/// The deepest nesting the parser accepts. Nesting counts every level
+/// of the syntax tree below a function body's own statements: nested
+/// statement bodies, operands, arguments and parentheses alike, so
+/// `((x))` and `x + 1 + 1` are both 2 deep. Every later stage walks the
+/// tree recursively, and deeper input gets a parse error instead of a
+/// stack overflow. The bound keeps a 4× margin on the smallest stack
+/// the pipeline runs on, a 2 MiB thread: in a release build the
+/// costliest shape per level, nested calls `g(g(…))`, overflows it at
+/// about 258 levels (nested `if`s at 578, parentheses at 814, `+`
+/// chains at 1 007). The corpus and generated programs nest at most 7
+/// deep.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a complete RSC program.
 pub fn parse_program(src: &str) -> PResult<Program> {
     let _sp = rsc_obs::span!("parse");
@@ -50,6 +63,29 @@ pub fn parse_pred(src: &str) -> PResult<Pred> {
     Ok(q)
 }
 
+/// The binary operator `t` stands for, with its precedence (higher
+/// binds tighter).
+fn binary_op(t: &Tok) -> Option<(BinOpE, u8)> {
+    Some(match t {
+        Tok::OrOr => (BinOpE::Or, 0),
+        Tok::AndAnd => (BinOpE::And, 1),
+        Tok::Pipe => (BinOpE::BitOr, 2),
+        Tok::Amp => (BinOpE::BitAnd, 3),
+        Tok::EqEq | Tok::EqEqEq => (BinOpE::Eq, 4),
+        Tok::NotEq | Tok::NotEqEq => (BinOpE::Ne, 4),
+        Tok::Lt => (BinOpE::Lt, 5),
+        Tok::Le => (BinOpE::Le, 5),
+        Tok::Gt => (BinOpE::Gt, 5),
+        Tok::Ge => (BinOpE::Ge, 5),
+        Tok::Plus => (BinOpE::Add, 6),
+        Tok::Minus => (BinOpE::Sub, 6),
+        Tok::Star => (BinOpE::Mul, 7),
+        Tok::Slash => (BinOpE::Div, 7),
+        Tok::Percent => (BinOpE::Mod, 7),
+        _ => return None,
+    })
+}
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
@@ -61,6 +97,12 @@ struct Parser {
     pending_sigs: Vec<(Sym, Span, Vec<FunTy>)>,
     imports: Vec<ImportDecl>,
     exports: Vec<(Sym, Span)>,
+    /// Nesting levels entered above the current position (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
+    /// Nesting of the expression or term the last parsing function
+    /// returned, counted from that expression's root.
+    height: usize,
 }
 
 impl Parser {
@@ -75,7 +117,38 @@ impl Parser {
             pending_sigs: Vec::new(),
             imports: Vec::new(),
             exports: Vec::new(),
+            depth: 0,
+            height: 0,
         })
+    }
+
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            message: format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+            span: self.prev_span(),
+        }
+    }
+
+    /// Parses one level deeper: a statement body, operand, argument or
+    /// parenthesized expression.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Records the nesting of the expression or term just built: one
+    /// level above its deepest child, whose nesting is `below`.
+    fn built(&mut self, below: usize) -> PResult<()> {
+        if self.depth + below >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.height = below + 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Tok {
@@ -701,17 +774,21 @@ impl Parser {
         })
     }
 
+    /// A nested statement body: a block or a single statement, one
+    /// nesting level deeper.
     fn block_or_stmt(&mut self) -> PResult<Block> {
-        if *self.peek() == Tok::LBrace {
-            self.block()
-        } else {
-            let s = self.stmt()?;
-            let span = s.span();
-            Ok(Block {
-                stmts: vec![s],
-                span,
-            })
-        }
+        self.nested(|p| {
+            if *p.peek() == Tok::LBrace {
+                p.block()
+            } else {
+                let s = p.stmt()?;
+                let span = s.span();
+                Ok(Block {
+                    stmts: vec![s],
+                    span,
+                })
+            }
+        })
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
@@ -734,10 +811,12 @@ impl Parser {
                     span: lo.to(hi),
                 })
             }
-            Tok::Function => Ok(Stmt::Fun(self.fun_decl()?)),
+            Tok::Function => Ok(Stmt::Fun(self.nested(Self::fun_decl)?)),
             Tok::Sig => {
-                self.sig_decl()?;
                 // A sig is not itself a statement; parse the next one.
+                while *self.peek() == Tok::Sig {
+                    self.sig_decl()?;
+                }
                 self.stmt()
             }
             Tok::Break => Err(self.err(
@@ -752,7 +831,7 @@ impl Parser {
             Tok::LBrace => {
                 // Braced group: `var` is function-scoped, so a bare block
                 // is just a scope-transparent sequence.
-                let blk = self.block()?;
+                let blk = self.nested(Self::block)?;
                 let span = blk.span;
                 Ok(Stmt::Seq(blk.stmts, span))
             }
@@ -802,7 +881,7 @@ impl Parser {
         let then_blk = self.block_or_stmt()?;
         let else_blk = if self.eat(Tok::Else) {
             if *self.peek() == Tok::If {
-                let s = self.if_stmt()?;
+                let s = self.nested(Self::if_stmt)?;
                 let span = s.span();
                 Block {
                     stmts: vec![s],
@@ -938,123 +1017,34 @@ impl Parser {
     // ------------------------------------------------------ expressions ---
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
-    }
-
-    fn ternary(&mut self) -> PResult<Expr> {
-        let c = self.or_expr()?;
-        if self.eat(Tok::Question) {
-            let t = self.expr()?;
-            self.expect(Tok::Colon)?;
-            let e = self.expr()?;
-            let span = c.span().to(e.span());
-            Ok(Expr::Ternary(Box::new(c), Box::new(t), Box::new(e), span))
-        } else {
-            Ok(c)
+        let c = self.binary_expr(0)?;
+        if !self.eat(Tok::Question) {
+            return Ok(c);
         }
+        let below = self.height;
+        let t = self.nested(Self::expr)?;
+        let below = below.max(self.height);
+        self.expect(Tok::Colon)?;
+        let e = self.nested(Self::expr)?;
+        self.built(below.max(self.height))?;
+        let span = c.span().to(e.span());
+        Ok(Expr::Ternary(Box::new(c), Box::new(t), Box::new(e), span))
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.and_expr()?;
-        while self.eat(Tok::OrOr) {
-            let r = self.and_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::Or, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn and_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.bitor_expr()?;
-        while self.eat(Tok::AndAnd) {
-            let r = self.bitor_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::And, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn bitor_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.bitand_expr()?;
-        while self.eat(Tok::Pipe) {
-            let r = self.bitand_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::BitOr, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn bitand_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.equality_expr()?;
-        while self.eat(Tok::Amp) {
-            let r = self.equality_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(BinOpE::BitAnd, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn equality_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq | Tok::EqEqEq => BinOpE::Eq,
-                Tok::NotEq | Tok::NotEqEq => BinOpE::Ne,
-                _ => break,
-            };
-            self.bump();
-            let r = self.relational_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn relational_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOpE::Lt,
-                Tok::Le => BinOpE::Le,
-                Tok::Gt => BinOpE::Gt,
-                Tok::Ge => BinOpE::Ge,
-                _ => break,
-            };
-            self.bump();
-            let r = self.additive_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn additive_expr(&mut self) -> PResult<Expr> {
-        let mut l = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOpE::Add,
-                Tok::Minus => BinOpE::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.multiplicative_expr()?;
-            let span = l.span().to(r.span());
-            l = Expr::Binary(op, Box::new(l), Box::new(r), span);
-        }
-        Ok(l)
-    }
-
-    fn multiplicative_expr(&mut self) -> PResult<Expr> {
+    /// Binary operators at precedence `min_prec` or tighter, by
+    /// precedence climbing. Every binary operator is left-associative,
+    /// so a chain of one precedence is built by the loop, not by
+    /// recursion.
+    fn binary_expr(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut l = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOpE::Mul,
-                Tok::Slash => BinOpE::Div,
-                Tok::Percent => BinOpE::Mod,
-                _ => break,
-            };
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min_prec {
+                break;
+            }
             self.bump();
-            let r = self.unary_expr()?;
+            let below = self.height;
+            let r = self.nested(|p| p.binary_expr(prec + 1))?;
+            self.built(below.max(self.height))?;
             let span = l.span().to(r.span());
             l = Expr::Binary(op, Box::new(l), Box::new(r), span);
         }
@@ -1063,64 +1053,53 @@ impl Parser {
 
     fn unary_expr(&mut self) -> PResult<Expr> {
         let lo = self.span();
-        match self.peek().clone() {
-            Tok::Bang => {
-                self.bump();
-                let e = self.unary_expr()?;
-                let span = lo.to(e.span());
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), span))
-            }
-            Tok::Minus => {
-                self.bump();
-                let e = self.unary_expr()?;
-                let span = lo.to(e.span());
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), span))
-            }
-            Tok::Typeof => {
-                self.bump();
-                let e = self.unary_expr()?;
-                let span = lo.to(e.span());
-                Ok(Expr::Unary(UnOp::TypeOf, Box::new(e), span))
-            }
+        let op = match self.peek() {
+            Tok::Bang => UnOp::Not,
+            Tok::Minus => UnOp::Neg,
+            Tok::Typeof => UnOp::TypeOf,
             Tok::Lt => {
                 // `<T> e` — static cast.
                 self.bump();
                 let t = self.ty()?;
                 self.expect(Tok::Gt)?;
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
+                self.built(self.height)?;
                 let span = lo.to(e.span());
-                Ok(Expr::Cast(t, Box::new(e), span))
+                return Ok(Expr::Cast(t, Box::new(e), span));
             }
-            _ => self.postfix_expr(),
-        }
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let e = self.nested(Self::unary_expr)?;
+        self.built(self.height)?;
+        let span = lo.to(e.span());
+        Ok(Expr::Unary(op, Box::new(e), span))
     }
 
     fn postfix_expr(&mut self) -> PResult<Expr> {
         let mut e = self.primary_expr()?;
         loop {
+            let below = self.height;
             match self.peek().clone() {
                 Tok::Dot => {
                     self.bump();
                     let f = self.ident_or_keyword()?;
+                    self.built(below)?;
                     let span = e.span().to(self.prev_span());
                     e = Expr::Field(Box::new(e), f, span);
                 }
                 Tok::LBracket => {
                     self.bump();
-                    let i = self.expr()?;
+                    let i = self.nested(Self::expr)?;
+                    self.built(below.max(self.height))?;
                     let hi = self.expect(Tok::RBracket)?;
                     let span = e.span().to(hi);
                     e = Expr::Index(Box::new(e), Box::new(i), span);
                 }
                 Tok::LParen => {
                     self.bump();
-                    let mut args = Vec::new();
-                    while *self.peek() != Tok::RParen {
-                        args.push(self.expr()?);
-                        if !self.eat(Tok::Comma) {
-                            break;
-                        }
-                    }
+                    let (args, args_below) = self.args(Tok::RParen)?;
+                    self.built(below.max(args_below))?;
                     let hi = self.expect(Tok::RParen)?;
                     let span = e.span().to(hi);
                     e = Expr::Call(Box::new(e), args, span);
@@ -1129,6 +1108,21 @@ impl Parser {
             }
         }
         Ok(e)
+    }
+
+    /// Comma-separated expressions up to (not including) `close`, each
+    /// one level deeper, with the deepest one's nesting.
+    fn args(&mut self, close: Tok) -> PResult<(Vec<Expr>, usize)> {
+        let mut args = Vec::new();
+        let mut below = 0;
+        while *self.peek() != close {
+            args.push(self.nested(Self::expr)?);
+            below = below.max(self.height);
+            if !self.eat(Tok::Comma) {
+                break;
+            }
+        }
+        Ok((args, below))
     }
 
     /// Identifiers in member position may collide with keywords
@@ -1149,6 +1143,7 @@ impl Parser {
 
     fn primary_expr(&mut self) -> PResult<Expr> {
         let lo = self.span();
+        self.height = 0;
         match self.peek().clone() {
             Tok::Int(n) => {
                 self.bump();
@@ -1200,31 +1195,22 @@ impl Parser {
                     self.expect(Tok::Gt)?;
                 }
                 self.expect(Tok::LParen)?;
-                let mut args = Vec::new();
-                while *self.peek() != Tok::RParen {
-                    args.push(self.expr()?);
-                    if !self.eat(Tok::Comma) {
-                        break;
-                    }
-                }
+                let (args, below) = self.args(Tok::RParen)?;
+                self.built(below)?;
                 let hi = self.expect(Tok::RParen)?;
                 Ok(Expr::New(name, targs, args, lo.to(hi)))
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
+                self.built(self.height)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
             Tok::LBracket => {
                 self.bump();
-                let mut elems = Vec::new();
-                while *self.peek() != Tok::RBracket {
-                    elems.push(self.expr()?);
-                    if !self.eat(Tok::Comma) {
-                        break;
-                    }
-                }
+                let (elems, below) = self.args(Tok::RBracket)?;
+                self.built(below)?;
                 let hi = self.expect(Tok::RBracket)?;
                 Ok(Expr::ArrayLit(elems, lo.to(hi)))
             }
@@ -1417,11 +1403,11 @@ impl Parser {
     fn pred(&mut self) -> PResult<Pred> {
         let p = self.pred_or()?;
         if self.eat(Tok::FatArrow) {
-            let q = self.pred()?;
+            let q = self.nested(Self::pred)?;
             return Ok(Pred::imp(p, q));
         }
         if self.eat(Tok::Iff) {
-            let q = self.pred()?;
+            let q = self.nested(Self::pred)?;
             return Ok(Pred::iff(p, q));
         }
         Ok(p)
@@ -1447,14 +1433,14 @@ impl Parser {
 
     fn pred_atom(&mut self) -> PResult<Pred> {
         if self.eat(Tok::Bang) {
-            let p = self.pred_atom()?;
+            let p = self.nested(Self::pred_atom)?;
             return Ok(Pred::not(p));
         }
         // Parenthesized predicate vs parenthesized term: try predicate.
         if *self.peek() == Tok::LParen {
             let save = self.pos;
             self.bump();
-            if let Ok(p) = self.pred() {
+            if let Ok(p) = self.nested(Self::pred) {
                 if self.eat(Tok::RParen) {
                     // If a comparison operator follows, the parens belonged
                     // to a term — re-parse.
@@ -1494,7 +1480,9 @@ impl Parser {
         match op {
             Some(op) => {
                 self.bump();
-                let r = self.term()?;
+                let below = self.height;
+                let r = self.nested(Self::term)?;
+                self.built(below.max(self.height))?;
                 Ok(Pred::cmp(op, l, r))
             }
             None => {
@@ -1528,55 +1516,32 @@ impl Parser {
     // ------------------------------------------------------ logic terms ---
 
     fn term(&mut self) -> PResult<Term> {
-        self.term_bitor()
+        self.term_binary(0)
     }
 
-    fn term_bitor(&mut self) -> PResult<Term> {
-        let mut l = self.term_bitand()?;
-        while *self.peek() == Tok::Pipe {
-            self.bump();
-            let r = self.term_bitand()?;
-            l = Term::bin(BinOp::BvOr, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_bitand(&mut self) -> PResult<Term> {
-        let mut l = self.term_add()?;
-        while *self.peek() == Tok::Amp {
-            self.bump();
-            let r = self.term_add()?;
-            l = Term::bin(BinOp::BvAnd, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_add(&mut self) -> PResult<Term> {
-        let mut l = self.term_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.term_mul()?;
-            l = Term::bin(op, l, r);
-        }
-        Ok(l)
-    }
-
-    fn term_mul(&mut self) -> PResult<Term> {
+    /// Binary term operators at precedence `min_prec` or tighter (`|`,
+    /// `&`, additive, multiplicative; all left-associative), by
+    /// precedence climbing as in [`Parser::binary_expr`].
+    fn term_binary(&mut self, min_prec: u8) -> PResult<Term> {
         let mut l = self.term_unary()?;
         loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
+            let (op, prec) = match self.peek() {
+                Tok::Pipe => (BinOp::BvOr, 0),
+                Tok::Amp => (BinOp::BvAnd, 1),
+                Tok::Plus => (BinOp::Add, 2),
+                Tok::Minus => (BinOp::Sub, 2),
+                Tok::Star => (BinOp::Mul, 3),
+                Tok::Slash => (BinOp::Div, 3),
+                Tok::Percent => (BinOp::Mod, 3),
                 _ => break,
             };
+            if prec < min_prec {
+                break;
+            }
             self.bump();
-            let r = self.term_unary()?;
+            let below = self.height;
+            let r = self.nested(|p| p.term_binary(prec + 1))?;
+            self.built(below.max(self.height))?;
             l = Term::bin(op, l, r);
         }
         Ok(l)
@@ -1584,7 +1549,8 @@ impl Parser {
 
     fn term_unary(&mut self) -> PResult<Term> {
         if self.eat(Tok::Minus) {
-            let t = self.term_unary()?;
+            let t = self.nested(Self::term_unary)?;
+            self.built(self.height)?;
             return Ok(Term::neg(t));
         }
         self.term_postfix()
@@ -1594,12 +1560,14 @@ impl Parser {
         let mut t = self.term_primary()?;
         while self.eat(Tok::Dot) {
             let f = self.ident_or_keyword()?;
+            self.built(self.height)?;
             t = Term::field(t, f);
         }
         Ok(t)
     }
 
     fn term_primary(&mut self) -> PResult<Term> {
+        self.height = 0;
         match self.peek().clone() {
             Tok::Int(n) => {
                 self.bump();
@@ -1635,7 +1603,8 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                let t = self.term()?;
+                let t = self.nested(Self::term)?;
+                self.built(self.height)?;
                 self.expect(Tok::RParen)?;
                 Ok(t)
             }
@@ -1644,6 +1613,7 @@ impl Parser {
                 if *self.peek() == Tok::LParen {
                     self.bump();
                     let mut args = Vec::new();
+                    let mut below = 0;
                     while *self.peek() != Tok::RParen {
                         // In `impl(x, C)` / `instanceof(x, C)` the second
                         // argument is a type name — encode as a string.
@@ -1657,11 +1627,13 @@ impl Parser {
                                 }
                             }
                         }
-                        args.push(self.term()?);
+                        args.push(self.nested(Self::term)?);
+                        below = below.max(self.height);
                         if !self.eat(Tok::Comma) {
                             break;
                         }
                     }
+                    self.built(below)?;
                     self.expect(Tok::RParen)?;
                     Ok(Term::app(Sym::from(s), args))
                 } else {

@@ -13,7 +13,7 @@ Legs (default: legacy + lsp):
   ``initialize``, ``textDocument/didOpen``/``didChange``, asserting that
   every published diagnostic carries a non-dummy 0-based
   ``{start:{line,character},end:{…}}`` range and an ``R…``-style code.
-* ``cache-bound`` — a long edit script under ``RSC_CACHE_CAP=16``:
+* ``cache-bound`` — a long edit script under ``rsc serve --cache-cap 16``:
   verdicts must stay correct while the VC cache stays bounded and
   reports evictions.
 * ``metrics``     — the observability surface: a short legacy edit
@@ -82,14 +82,15 @@ def check_in_sync():
                 )
 
 
-def run_serve(binary, requests, env=None):
-    """Feeds one request per line, returns the parsed response lines."""
+def run_serve(binary, requests, env=None, args=()):
+    """Feeds one request per line to `binary serve *args`, returns the
+    parsed response lines."""
     stdin = "".join(json.dumps(r) + "\n" for r in requests)
     proc_env = dict(os.environ)
     if env:
         proc_env.update(env)
     proc = subprocess.run(
-        [binary, "serve"], input=stdin, capture_output=True, text=True,
+        [binary, "serve", *args], input=stdin, capture_output=True, text=True,
         env=proc_env,
     )
     if proc.returncode != 0:
@@ -259,7 +260,7 @@ def cache_bound_leg(binary, cap=16, rounds=3):
     requests.append({"cmd": "quit"})
     expected.append(("quit", "-"))
 
-    lines = run_serve(binary, requests, env={"RSC_CACHE_CAP": str(cap)})
+    lines = run_serve(binary, requests, args=["--cache-cap", str(cap)])
     if len(lines) != len(expected):
         fail(f"cache-bound: expected {len(expected)} responses, got {len(lines)}")
     evictions = None
@@ -282,8 +283,12 @@ def cache_bound_leg(binary, cap=16, rounds=3):
 
 def metrics_leg(binary):
     """Observability surface: per-check timing_ms, stats with the folded
-    timing summary, and the metrics counters/cache/latency object."""
-    name, src, mutated = corpus()[0]
+    timing summary, and the metrics counters/cache/latency object.
+
+    The session edits tsc-checker: its disjunctive queries reach the VC
+    cache, while the other programs' full-path queries all fail to
+    encode and are answered before it."""
+    name, src, mutated = next(c for c in corpus() if c[0] == "tsc-checker")
     requests = [
         {"cmd": "load", "source": src},
         {"cmd": "edit", "source": mutated},

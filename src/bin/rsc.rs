@@ -97,7 +97,6 @@ fn main() {
             "--no-prelude-qualifiers" => opts.prelude_qualifiers = false,
             "--no-mined-qualifiers" => opts.mine_qualifiers = false,
             "--no-vc-cache" => opts.vc_cache = false,
-            "--no-incremental-smt" => opts.incremental_smt = false,
             "--lints" => opts.lints = true,
             "--no-lints" => opts.lints = false,
             "--jobs" | "-j" => want_jobs = true,
@@ -942,7 +941,7 @@ fn parse_cache_cap(s: &str) -> usize {
 fn print_usage() {
     eprintln!(
         "usage: rsc [--no-path-sensitivity] [--no-prelude-qualifiers] \
-         [--no-mined-qualifiers] [--no-vc-cache] [--no-incremental-smt] \
+         [--no-mined-qualifiers] [--no-vc-cache] [--cache-cap N] \
          [--no-lints] [--vc-cache DIR] [--jobs N] [--quiet] \
          <file.rsc | dir>...\n\
          \u{20}      rsc serve            read NDJSON requests on stdin (load/edit/check,\n\
@@ -964,13 +963,10 @@ fn print_usage() {
          --jobs N  solve constraint bundles on N worker threads\n\
          \u{20}         (default: RSC_JOBS env var, else available cores, max 8)\n\
          --cache-cap N  bound the VC cache to ~N entries (LRU eviction;\n\
-         \u{20}         default: RSC_CACHE_CAP env var, else unbounded)\n\
+         \u{20}         default: unbounded)\n\
          --vc-cache DIR  persist solver verdicts to DIR across runs\n\
          \u{20}         (RSC_VC_CACHE env var; a warm re-check of unchanged\n\
          \u{20}         code reuses every bundle and solves 0 VCs)\n\
-         --no-incremental-smt  solve each fixpoint query in a fresh SMT\n\
-         \u{20}         context instead of per-constraint persistent ones\n\
-         \u{20}         (ablation/debug; diagnostics are identical)\n\
          --no-lints  suppress the dataflow lint warnings (L0001-L0004:\n\
          \u{20}         unreachable branch, tautological guard, dead\n\
          \u{20}         refinement, constant index out of bounds)\n\

@@ -1,25 +1,24 @@
-//! Solver-configuration equivalence: the incremental-SMT fixpoint and
-//! the persistent `--vc-cache` disk tier are performance features only —
-//! every benchmark of the Figure 6 corpus (clean *and* with seeded bugs)
-//! must produce byte-identical diagnostics, verdicts, and query counts
-//! with incremental contexts on or off, and with a disk cache cold or
-//! warm, at any worker count.
+//! Solver-configuration equivalence: the VC cache and its persistent
+//! `--vc-cache` disk tier are performance features only — every
+//! benchmark of the Figure 6 corpus (clean *and* with seeded bugs) must
+//! produce byte-identical diagnostics, verdicts, and query counts with
+//! the cache on or off, and with a disk cache cold or warm, at any
+//! worker count.
 //!
-//! Why this holds: an `IncrContext` answers exactly the conjunction the
-//! fresh solver would encode (activation literals select the same
-//! hypotheses; retained blocking clauses are implied by the clause
-//! database), the VC disk tier stores only Unsat verdicts under a
-//! versioned key, and bundle-verdict reuse replays a pure function of
-//! the canonical bundle fingerprint. This suite is the regression net
-//! under those arguments.
+//! Why this holds: the cache stores only Unsat verdicts of canonical
+//! queries, the queries it could answer differently from the uncached
+//! path (unencodable ones) are answered before it, the disk tier stores
+//! the same verdicts under a versioned key, and bundle-verdict reuse
+//! replays a pure function of the canonical bundle fingerprint. This
+//! suite is the regression net under those arguments.
 
 use rsc_bench::{benchmark_names, load_benchmark};
 use rsc_core::{check_program, CheckResult, CheckerOptions};
 use rsc_incr::CheckSession;
 
-fn options(incremental: bool, jobs: usize) -> CheckerOptions {
+fn options(vc_cache: bool, jobs: usize) -> CheckerOptions {
     CheckerOptions {
-        incremental_smt: incremental,
+        vc_cache,
         jobs,
         ..CheckerOptions::default()
     }
@@ -76,15 +75,16 @@ fn corpus() -> Vec<(String, String)> {
 }
 
 #[test]
-fn incremental_matches_fresh_on_corpus() {
+fn uncached_matches_cached_on_corpus() {
     for (name, src) in corpus() {
-        let incr = check_program(&src, options(true, 1));
-        let fresh = check_program(&src, options(false, 1));
-        assert_equivalent(&name, "incremental", &incr, "fresh", &fresh);
-        // And across worker counts with incremental contexts on (each
-        // bundle owns its contexts, so parallelism cannot interleave).
-        let incr4 = check_program(&src, options(true, 4));
-        assert_equivalent(&name, "jobs=1", &incr, "jobs=4", &incr4);
+        let cached = check_program(&src, options(true, 1));
+        let uncached = check_program(&src, options(false, 1));
+        assert_equivalent(&name, "cache on", &cached, "cache off", &uncached);
+        // And across worker counts with the shared cache on (a verdict
+        // is a pure function of the canonical query, whichever bundle
+        // solver records it first).
+        let cached4 = check_program(&src, options(true, 4));
+        assert_equivalent(&name, "jobs=1", &cached, "jobs=4", &cached4);
     }
 }
 
